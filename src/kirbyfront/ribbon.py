@@ -62,6 +62,8 @@ class DiskBandSurface:
                 if foot in feet:
                     raise RibbonError(f"foot {foot} attached twice")
                 feet[foot] = d
+        if len({b.name for b in self.bands}) != len(self.bands):
+            raise RibbonError("band name declared twice")
         for b in self.bands:
             for end in (0, 1):
                 if (b.name, end) not in feet:
@@ -75,12 +77,6 @@ class DiskBandSurface:
                 return b
         raise RibbonError(f"no band named {name}")
 
-    def foot_disk(self, band, end):
-        for d in self.disks:
-            if (band, end) in self.order[d]:
-                return d
-        raise RibbonError(f"foot ({band}, {end}) not attached")
-
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -90,71 +86,107 @@ class SurfaceInvariants:
     orientable: bool
 
 
+def _darts(s):
+    """The integer index of a surface, built once per call.
+
+    Band j has the two darts 2j (end 0) and 2j + 1 (end 1), so the mate of
+    dart x is x ^ 1.  Returns (rows, where, twist): rows[i] lists the darts
+    on disk i in cyclic order, where[x] = (disk, slot) of dart x, and
+    twist[j] is the parity of band j's half twists.
+    """
+    band_id = {b.name: j for j, b in enumerate(s.bands)}
+    rows = [[2 * band_id[b] + e for (b, e) in s.order[d]] for d in s.disks]
+    where = [None] * (2 * len(s.bands))
+    for i, row in enumerate(rows):
+        for k, x in enumerate(row):
+            where[x] = (i, k)
+    return rows, where, [b.half_twists % 2 for b in s.bands]
+
+
+def _components(rows, where):
+    """Disk indices of each connected component, by first disk."""
+    comp = [-1] * len(rows)
+    out = []
+    for i in range(len(rows)):
+        if comp[i] >= 0:
+            continue
+        comp[i] = len(out)
+        members = [i]
+        for d in members:  # grows while it is walked: a breadth-first search
+            for x in rows[d]:
+                e = where[x ^ 1][0]
+                if comp[e] < 0:
+                    comp[e] = comp[i]
+                    members.append(e)
+        out.append(members)
+    return out
+
+
+def _orientable(rows, where, twist):
+    """Two-colour the disks so that each band joins equal colours when
+    untwisted and different colours when odd; a conflict is a cycle of
+    odd total twist."""
+    side = [-1] * len(rows)
+    for i in range(len(rows)):
+        if side[i] >= 0:
+            continue
+        side[i] = 0
+        stack = [i]
+        while stack:
+            d = stack.pop()
+            for x in rows[d]:
+                e = where[x ^ 1][0]
+                want = side[d] ^ twist[x >> 1]
+                if side[e] < 0:
+                    side[e] = want
+                    stack.append(e)
+                elif side[e] != want:
+                    return False
+    return True
+
+
+def _boundary_count(rows, twist):
+    """Cycles of the corner graph (see ``boundary_components``).
+
+    Corner 2x is the minus corner of dart x and 2x + 1 its plus corner.
+    Every corner has one disk arc, stored in ``arc``, and one band side:
+    it leads to the mate dart's corner of the other sign (c ^ 3), or of
+    the same sign (c ^ 2) across an odd-twisted band.
+    """
+    arc = [0] * (4 * len(twist))
+    for row in rows:
+        n = len(row)
+        for k in range(n):
+            plus = 2 * row[k] + 1
+            minus = 2 * row[(k + 1) % n]
+            arc[plus] = minus
+            arc[minus] = plus
+    seen = [False] * len(arc)
+    circles = sum(1 for row in rows if not row)
+    for c0 in range(len(arc)):
+        if seen[c0]:
+            continue
+        circles += 1
+        c = c0
+        while not seen[c]:
+            a = arc[c]
+            seen[c] = seen[a] = True
+            c = a ^ 3 ^ twist[a >> 2]
+    return circles
+
+
 def euler_characteristic(s):
     return len(s.disks) - len(s.bands)
 
 
 def is_connected(s):
-    if not s.disks:
-        return False
-    adj = {d: set() for d in s.disks}
-    for b in s.bands:
-        d0 = s.foot_disk(b.name, 0)
-        d1 = s.foot_disk(b.name, 1)
-        adj[d0].add(d1)
-        adj[d1].add(d0)
-    seen = {s.disks[0]}
-    queue = deque([s.disks[0]])
-    while queue:
-        d = queue.popleft()
-        for e in adj[d]:
-            if e not in seen:
-                seen.add(e)
-                queue.append(e)
-    return len(seen) == len(s.disks)
+    rows, where, _twist = _darts(s)
+    return len(_components(rows, where)) == 1
 
 
 def is_orientable(s):
-    """Orientable iff every band cycle has even total twist.
-
-    Orient each disk; an untwisted band is compatible, an odd-twisted band
-    flips; union-find with parity decides.
-    """
-    parent = {d: d for d in s.disks}
-    parity = {d: 0 for d in s.disks}
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= parity[y]
-            parent[y] = x
-            parity[y] = p
-        return x
-
-    def rel(x):
-        find(x)
-        return parity[x] if parent[x] != x else 0
-
-    for b in s.bands:
-        d0 = s.foot_disk(b.name, 0)
-        d1 = s.foot_disk(b.name, 1)
-        t = b.half_twists % 2
-        r0, r1 = find(d0), find(d1)
-        p0 = parity[d0] if d0 != r0 else 0
-        p1 = parity[d1] if d1 != r1 else 0
-        p0 = rel(d0)
-        p1 = rel(d1)
-        if r0 == r1:
-            if (p0 ^ p1) != t:
-                return False
-        else:
-            parent[r0] = r1
-            parity[r0] = p0 ^ p1 ^ t
-    return True
+    """Orientable iff every band cycle has even total twist."""
+    return _orientable(*_darts(s))
 
 
 def boundary_components(s):
@@ -165,49 +197,11 @@ def boundary_components(s):
     the plus corner of one foot to the minus corner of the next, and the
     two band sides: an untwisted band glues plus to minus across it, an
     odd-twisted band glues plus to plus and minus to minus.  The corner
-    graph is 2-regular, and its cycles are the boundary circles.
+    graph is 2-regular, and its cycles are the boundary circles; a disk
+    without feet is one more circle.
     """
-    adj = {}
-
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for d in s.disks:
-        feet = s.order[d]
-        n = len(feet)
-        for k in range(n):
-            f = feet[k]
-            g = feet[(k + 1) % n]
-            link(("+",) + f, ("-",) + g)
-    for b in s.bands:
-        f = (b.name, 0)
-        g = (b.name, 1)
-        if b.half_twists % 2 == 0:
-            link(("+",) + f, ("-",) + g)
-            link(("-",) + f, ("+",) + g)
-        else:
-            link(("+",) + f, ("+",) + g)
-            link(("-",) + f, ("-",) + g)
-
-    for v, nb in adj.items():
-        if len(nb) != 2:
-            raise RibbonError(f"corner {v} has degree {len(nb)}")
-
-    seen = set()
-    circles = 0
-    for v0 in adj:
-        if v0 in seen:
-            continue
-        circles += 1
-        prev, cur = None, v0
-        while cur not in seen:
-            seen.add(cur)
-            a, b = adj[cur]
-            nxt = b if a == prev else a
-            prev, cur = cur, nxt
-    circles += sum(1 for d in s.disks if len(s.order[d]) == 0)
-    return circles
+    rows, _where, twist = _darts(s)
+    return _boundary_count(rows, twist)
 
 
 def surface_invariants(s, require_connected=False):
@@ -217,13 +211,15 @@ def surface_invariants(s, require_connected=False):
     chi = 2 - 2g - b; for nonorientable or disconnected input only the
     other fields are meaningful and genus is set to -1.
     """
-    if require_connected and not is_connected(s):
+    rows, where, twist = _darts(s)
+    connected = len(_components(rows, where)) == 1
+    if require_connected and not connected:
         raise RibbonError("surface is not connected")
     chi = euler_characteristic(s)
-    b = boundary_components(s)
-    orient = is_orientable(s)
+    b = _boundary_count(rows, twist)
+    orient = _orientable(rows, where, twist)
     genus = -1
-    if orient and is_connected(s):
+    if orient and connected:
         g2 = 2 - chi - b
         if g2 % 2:
             raise RibbonError("inconsistent boundary trace")
@@ -252,54 +248,95 @@ def clasp_transpose(s, disk, slot):
     return DiskBandSurface(disks=s.disks, bands=s.bands, order=order)
 
 
+def _relabel(rows, where, twist, disk, rot, best):
+    """Breadth-first relabelling of one component from slot rot of disk.
+
+    Bands are numbered in order of first sight, and each disk becomes a
+    row of codes 2 * label + twist (ordered as the pairs (label, twist)),
+    read from the slot where the search entered it.  The candidate is
+    compared with best item by item while it is built; it is dropped
+    (None) at the first item where it is larger, and also when it ends
+    equal to best.
+    """
+    label = [-1] * len(twist)
+    fresh = 0
+    seen = [False] * len(rows)
+    out = []
+    queue = [(disk, rot)]
+    tied = best is not None
+    for d, rot in queue:  # grows while it is walked
+        if seen[d]:
+            continue
+        seen[d] = True
+        darts = rows[d]
+        if tied:
+            ref = best[len(out)]
+            m = len(ref)
+        row = []
+        for k, x in enumerate(darts[rot:] + darts[:rot]):
+            j = x >> 1
+            if label[j] < 0:
+                label[j] = fresh
+                fresh += 1
+                queue.append(where[x ^ 1])
+            code = 2 * label[j] + twist[j]
+            if tied:
+                if k == m or code > ref[k]:
+                    return None
+                if code < ref[k]:
+                    tied = False
+            row.append(code)
+        if tied and len(row) < m:
+            tied = False
+        out.append(row)
+    return None if tied else out
+
+
+def _head(darts, rot, twist):
+    """The first two items of the candidate starting at slot rot, read off
+    without the search: the start band's code, then the end of the row
+    (-1, which sorts before every code) or the next dart's code."""
+    n = len(darts)
+    if n == 0:
+        return (-1,)
+    x = darts[rot]
+    t = twist[x >> 1]
+    if n == 1:
+        return (t, -1)
+    y = darts[(rot + 1) % n]
+    return (t, t if y == x ^ 1 else 2 + twist[y >> 1])
+
+
+def _component_key(rows, where, twist, members):
+    starts = [(d, rot) for d in members for rot in range(max(1, len(rows[d])))]
+    heads = [_head(rows[d], rot, twist) for d, rot in starts]
+    low = min(heads)
+    best = None
+    for (d, rot), head in zip(starts, heads):
+        if head == low:  # any other start loses by its second item
+            cand = _relabel(rows, where, twist, d, rot, best)
+            if cand is not None:
+                best = cand
+    # tuples of lists, not of generators: tuple(<generator>) over-allocates
+    # and then shrinks, which raised the peak RSS of a key-heavy search
+    return tuple([tuple([(c >> 1, c & 1) for c in row]) for row in best])
+
+
 def canonical_key(s):
     """Hash key invariant under disk/band relabeling and rotation of each
-    cyclic order, for BFS visited-set pruning."""
-    twists = {b.name: b.half_twists % 2 for b in s.bands}
+    cyclic order, for BFS visited-set pruning.
 
-    best = None
-    # canonical labels: try each disk/rotation as the starting point
-    def relabel(start_disk, start_rot):
-        band_ids = {}
-        disk_ids = {}
-        out = []
-        queue = deque([(start_disk, start_rot)])
-        seen = set()
-        while queue:
-            d, rot = queue.popleft()
-            if d in seen:
-                continue
-            seen.add(d)
-            disk_ids.setdefault(d, len(disk_ids))
-            feet = s.order[d]
-            n = len(feet)
-            row = []
-            for k in range(n):
-                band, end = feet[(rot + k) % n]
-                if band not in band_ids:
-                    band_ids[band] = len(band_ids)
-                    od = s.foot_disk(band, 1 - end)
-                    ok = s.order[od].index((band, 1 - end))
-                    queue.append((od, ok))
-                row.append((band_ids[band], twists[band]))
-            out.append(tuple(row))
-        for d in s.disks:
-            if d not in seen:
-                return None  # disconnected start; only used on connected
-        return tuple(out)
-
-    for d in s.disks:
-        for rot in range(max(1, len(s.order[d]))):
-            key = relabel(d, rot)
-            if key is not None and (best is None or key < best):
-                best = key
-    if best is None:
-        # disconnected: fall back to sorted naive key
-        rows = []
-        for d in sorted(s.disks):
-            rows.append(tuple(s.order[d]))
-        best = tuple(rows)
-    return best
+    For a connected surface this is the least, over every start disk and
+    rotation, of the breadth-first relabelling: a tuple with one row per
+    disk, each a tuple of (band label, twist parity) pairs.  A
+    disconnected surface keys as the sorted tuple of its components' keys.
+    """
+    rows, where, twist = _darts(s)
+    keys = sorted(
+        _component_key(rows, where, twist, members)
+        for members in _components(rows, where)
+    )
+    return keys[0] if len(keys) == 1 else tuple(keys)
 
 
 def normalize_surface(s, target, node_cap=200000):
@@ -357,6 +394,22 @@ def normalize_surface(s, target, node_cap=200000):
 # ---------------------------------------------------------------------------
 
 
+def _integer(tok, lineno, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise RibbonError(f"line {lineno}: {what} {tok!r} is not an integer") from None
+
+
+def _foot_spec(spec, lineno):
+    """``<name>.<number>`` as (name, int): a disk and slot in band lines,
+    a band and end in order lines."""
+    if "." not in spec:
+        raise RibbonError(f"line {lineno}: foot spec {spec!r}")
+    name, num = spec.rsplit(".", 1)
+    return name, _integer(num, lineno, f"foot spec {spec!r}:")
+
+
 def parse_ribbon(text):
     """Parse the ``.ribbon`` format::
 
@@ -389,27 +442,25 @@ def parse_ribbon(text):
             if len(toks) == 6:
                 if toks[4] != "twists":
                     raise RibbonError(f"line {lineno}: expected 'twists <n>'")
-                twists = int(toks[5])
+                twists = _integer(toks[5], lineno, "twists")
             bands.append(Band(name=name, half_twists=twists))
             for end, spec in enumerate(toks[2:4]):
-                if "." not in spec:
-                    raise RibbonError(f"line {lineno}: foot spec {spec!r}")
-                dname, pos = spec.rsplit(".", 1)
-                feet_at.setdefault(dname, {})[int(pos)] = (name, end)
+                dname, pos = _foot_spec(spec, lineno)
+                feet_at.setdefault(dname, {})[pos] = (name, end)
         elif toks[0] == "order":
             rest = " ".join(toks[1:])
             if ":" not in rest:
                 raise RibbonError(f"line {lineno}: order <disk>: <feet>")
             dname, slots = rest.split(":", 1)
             explicit[dname.strip()] = tuple(
-                tuple(part.rsplit(".", 1)) for part in slots.split()
+                _foot_spec(part, lineno) for part in slots.split()
             )
         else:
             raise RibbonError(f"line {lineno}: unknown directive {toks[0]!r}")
     order = {}
     for d in disks:
         if d in explicit:
-            order[d] = tuple((b, int(e)) for (b, e) in explicit[d])
+            order[d] = explicit[d]
         else:
             slots = feet_at.get(d, {})
             order[d] = tuple(slots[k] for k in sorted(slots))

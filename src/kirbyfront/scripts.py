@@ -78,6 +78,18 @@ class MoveScript:
 _NO_SITE = {"cancel_trivial_bypass", "witness", "normalize", "canonical"}
 
 
+def _int_arg(args, name, default=None):
+    """An integer move argument; missing (with no default) or not an
+    integer is a precondition failure of the step."""
+    value = args.get(name, default)
+    if value is None:
+        raise MoveError(f"missing argument {name}=")
+    try:
+        return int(value)
+    except ValueError:
+        raise MoveError(f"argument {name}={value!r} is not an integer") from None
+
+
 def _apply_step(d, step):
     m = step.move
     a = step.args
@@ -87,25 +99,25 @@ def _apply_step(d, step):
     if m == "unclasp":
         return clasp(d, s, "unclasp").diagram
     if m == "stabilize":
-        return stabilize(d, int(a["comp"]), s, "stabilize").diagram
+        return stabilize(d, _int_arg(a, "comp"), s, "stabilize").diagram
     if m == "destabilize":
-        return stabilize(d, int(a["comp"]), s, "destabilize").diagram
+        return stabilize(d, _int_arg(a, "comp"), s, "destabilize").diagram
     if m == "uplus":
-        return uplus(d, int(a["a"]), int(a["b"]), s).diagram
+        return uplus(d, _int_arg(a, "a"), _int_arg(a, "b"), s).diagram
     if m == "handleslide":
         return handleslide(
-            d, int(a["moving"]), int(a["over"]), a["variant"], s
+            d, _int_arg(a, "moving"), _int_arg(a, "over"), a.get("variant"), s
         ).diagram
     if m == "crossing_change":
         return crossing_change(d, s, a.get("mode", "primitive")).diagram
     if m == "cancel_trivial_bypass":
-        return cancel_trivial_bypass(d, int(a["n"]), int(a["np1"])).diagram
+        return cancel_trivial_bypass(d, _int_arg(a, "n"), _int_arg(a, "np1")).diagram
     if m == "birth":
         return birth_cancel_pair(d, s, "birth").diagram
     if m == "cancel":
         return birth_cancel_pair(d, s, "cancel").diagram
     if m == "witness":
-        return witness_subcritical(d, int(a["comp"])).diagram
+        return witness_subcritical(d, _int_arg(a, "comp")).diagram
     if m == "exchange":
         return exchange(d, s).diagram
     if m in ("r1", "r2", "r3"):
@@ -113,7 +125,7 @@ def _apply_step(d, step):
             d,
             m.upper(),
             s,
-            variant=int(a.get("variant", 1)),
+            variant=_int_arg(a, "variant", 1),
             direction=a.get("direction", "forward"),
         ).diagram
     if m == "normalize":

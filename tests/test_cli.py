@@ -66,6 +66,16 @@ def test_apply_bad_site_exit_code(tmp_path):
     assert code == 2
 
 
+def test_apply_missing_argument_exit_code(tmp_path, capsys):
+    src = tmp_path / "u.front"
+    src.write_text(serialize_front(unknot(coefficient=-1)))
+    code = main(
+        ["apply", str(src), "--move", "stabilize", "--site", "1..1/1..1", "-o", "-"]
+    )
+    assert code == 2
+    assert "missing argument comp=" in capsys.readouterr().err
+
+
 def test_normalize_command(tmp_path, capsys):
     src = tmp_path / "u.front"
     src.write_text(serialize_front(unknot()))
@@ -90,6 +100,17 @@ def test_ribbon_commands(tmp_path, capsys):
     assert main(["ribbon", "normalize", str(rib), "--target", "planar"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert len(data["steps"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["disk d\nband a d.x d.1\n", "disk d\nband a d.0 d.1 twists q\n"],
+)
+def test_ribbon_malformed_number_exit_code(tmp_path, capsys, text):
+    rib = tmp_path / "bad.ribbon"
+    rib.write_text(text)
+    assert main(["ribbon", "invariants", str(rib)]) == 4
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_verify_all(capsys):

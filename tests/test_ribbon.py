@@ -1,7 +1,10 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
+from kirbyfront import ribbon
 from kirbyfront.ribbon import (
     Band,
     DiskBandSurface,
@@ -86,6 +89,20 @@ def test_ribbon_round_trip():
     s = surf("disk d\ndisk e\nband a d.0 e.0\nband b d.1 e.1 twists 2\n")
     t = parse_ribbon(serialize_ribbon(s))
     assert t.order == s.order and t.bands == s.bands
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("disk d\nband a d.0 d.1\norder d: a0 a.1\n", "foot spec 'a0'"),
+        ("disk d\nband a d.0 d.1\norder d: a.0 a.y\n", "not an integer"),
+        ("disk d\nband a d.0 d.1\nband a d.2 d.3\norder d: a.0 a.1 z.0 z.1\n",
+         "declared twice"),
+    ],
+)
+def test_parse_rejects_malformed_order_lines(text, message):
+    with pytest.raises(RibbonError, match=message):
+        parse_ribbon(text)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +272,170 @@ def test_dumbbell_connected_target_is_obstructed():
     assert euler_characteristic(s) % 2 == 1
     with pytest.raises(RibbonError, match="no transposition sequence"):
         normalize_surface(s, "connected")
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer-dart key against the name-based original
+# ---------------------------------------------------------------------------
+
+
+def _foot_disk(s, band, end):
+    """The linear scan the original key used to find a foot's disk."""
+    for d in s.disks:
+        if (band, end) in s.order[d]:
+            return d
+    raise RibbonError(f"foot ({band}, {end}) not attached")
+
+
+# The name-based key the integer-dart key replaced, kept verbatim as the
+# reference; only its ``s.foot_disk`` method call became the function above.
+def old_canonical_key(s):
+    """Hash key invariant under disk/band relabeling and rotation of each
+    cyclic order, for BFS visited-set pruning."""
+    twists = {b.name: b.half_twists % 2 for b in s.bands}
+
+    best = None
+    # canonical labels: try each disk/rotation as the starting point
+    def relabel(start_disk, start_rot):
+        band_ids = {}
+        disk_ids = {}
+        out = []
+        queue = deque([(start_disk, start_rot)])
+        seen = set()
+        while queue:
+            d, rot = queue.popleft()
+            if d in seen:
+                continue
+            seen.add(d)
+            disk_ids.setdefault(d, len(disk_ids))
+            feet = s.order[d]
+            n = len(feet)
+            row = []
+            for k in range(n):
+                band, end = feet[(rot + k) % n]
+                if band not in band_ids:
+                    band_ids[band] = len(band_ids)
+                    od = _foot_disk(s, band, 1 - end)
+                    ok = s.order[od].index((band, 1 - end))
+                    queue.append((od, ok))
+                row.append((band_ids[band], twists[band]))
+            out.append(tuple(row))
+        for d in s.disks:
+            if d not in seen:
+                return None  # disconnected start; only used on connected
+        return tuple(out)
+
+    for d in s.disks:
+        for rot in range(max(1, len(s.order[d]))):
+            key = relabel(d, rot)
+            if key is not None and (best is None or key < best):
+                best = key
+    if best is None:
+        # disconnected: fall back to sorted naive key
+        rows = []
+        for d in sorted(s.disks):
+            rows.append(tuple(s.order[d]))
+        best = tuple(rows)
+    return best
+
+
+def _matchings(points):
+    if not points:
+        yield []
+        return
+    a = points[0]
+    for i in range(1, len(points)):
+        rest = points[1:i] + points[i + 1:]
+        for m in _matchings(rest):
+            yield [(a, points[i])] + m
+
+
+def one_disk_classes(nbands):
+    """One untwisted one-disk surface per class (the original key decides)."""
+    seen, out = set(), []
+    for m in _matchings(list(range(2 * nbands))):
+        ring = [None] * (2 * nbands)
+        for j, (x, y) in enumerate(m):
+            ring[x], ring[y] = (f"b{j}", 0), (f"b{j}", 1)
+        s = DiskBandSurface(
+            disks=("d",),
+            bands=tuple(Band(f"b{j}") for j in range(nbands)),
+            order={"d": tuple(ring)},
+        )
+        k = old_canonical_key(s)
+        if k not in seen:
+            seen.add(k)
+            out.append(s)
+    return out
+
+
+def random_two_disk(rng, nbands, odd):
+    """A connected two-disk surface with nbands bands, odd of them twisted."""
+    while True:
+        order = {"p": [], "q": []}
+        for j in range(nbands):
+            order[rng.choice("pq")].append((f"b{j}", 0))
+            order[rng.choice("pq")].append((f"b{j}", 1))
+        if not order["p"] or not order["q"]:
+            continue
+        for ring in order.values():
+            rng.shuffle(ring)
+        flip = set(rng.sample(range(nbands), odd))
+        bands = tuple(
+            Band(f"b{j}", rng.choice((1, -1, 3)) if j in flip else rng.choice((0, 2)))
+            for j in range(nbands)
+        )
+        s = DiskBandSurface(disks=("p", "q"), bands=bands, order=order)
+        if is_connected(s):
+            return s
+
+
+def renamed_copy(rng, s):
+    """Fresh disk and band names, shuffled declaration order, every cyclic
+    order rotated."""
+    dname = {d: f"D{rng.randrange(1000)}_{i}" for i, d in enumerate(s.disks)}
+    bname = {b.name: f"B{rng.randrange(1000)}_{i}" for i, b in enumerate(s.bands)}
+    order = {}
+    for d in s.disks:
+        ring = [(bname[b], e) for (b, e) in s.order[d]]
+        r = rng.randrange(len(ring)) if ring else 0
+        order[dname[d]] = tuple(ring[r:] + ring[:r])
+    disks = [dname[d] for d in s.disks]
+    bands = [Band(bname[b.name], b.half_twists) for b in s.bands]
+    rng.shuffle(disks)
+    rng.shuffle(bands)
+    return DiskBandSurface(disks=tuple(disks), bands=tuple(bands), order=order)
+
+
+def differential_corpus():
+    rng = random.Random(20241004)
+    base = [s for n in (3, 4, 5) for s in one_disk_classes(n)]
+    base += [
+        random_two_disk(rng, n, odd)
+        for n in (3, 4, 5)
+        for odd in (0, 1, 2)
+        for _ in range(12)
+    ]
+    return base + [renamed_copy(rng, s) for s in base]
+
+
+def test_canonical_key_matches_original_on_seeded_corpus(monkeypatch):
+    corpus = differential_corpus()
+    assert len(corpus) == 2 * (5 + 18 + 105 + 108)
+    for s in corpus:
+        assert canonical_key(s) == old_canonical_key(s), serialize_ribbon(s)
+    planar = [s for s in corpus if is_orientable(s)]
+    assert len(planar) > 300
+    new_steps = [normalize_surface(s, "planar") for s in planar]
+    monkeypatch.setattr(ribbon, "canonical_key", old_canonical_key)
+    old_steps = [normalize_surface(s, "planar") for s in planar]
+    assert new_steps == old_steps
+
+
+def test_disconnected_key_ignores_names():
+    a = surf("disk x\ndisk y\nband p x.0 x.1\nband q y.0 y.1\n")
+    b = surf("disk u\ndisk v\nband r u.0 u.1\nband t v.0 v.1\n")
+    c = surf("disk u\ndisk v\nband r u.0 u.1 twists 1\nband t v.0 v.1\n")
+    assert not is_connected(a)
+    assert canonical_key(a) == canonical_key(b)
+    assert canonical_key(a) != canonical_key(c)
