@@ -8,7 +8,7 @@ Subcommands::
     render <file> -o <svg>
     normalize <file> [-o <out>]
     ribbon <subcmd>                   invariants | normalize --target ...
-    verify <scenario id> | --all [--jobs N] [--json]
+    verify <scenario id> | --all [--json]
     framing-check --n <n> --samples <s> --tol <t> --seed <x>
 
 Exit codes: 0 pass, 2 precondition failure, 3 assertion/verification
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .diagram import (
     DiagramError,
@@ -49,7 +48,7 @@ from .ribbon import (
     surface_invariants,
 )
 from .scenarios import SCENARIOS, verify_scenario
-from .scripts import MoveStep, MoveScript, run_script, _parse_site
+from .scripts import MoveStep, MoveScript, parse_site, run_script
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -99,19 +98,9 @@ def cmd_apply(args):
     for kv in args.arg or []:
         k, _, v = kv.partition("=")
         step_args[k] = v
-    site = _parse_site(args.site) if args.site else None
-    if args.components:
-        from dataclasses import replace as _rep
-
-        ids = tuple(int(x) for x in args.components.split(","))
-        if site is None:
-            from .moves import site_at
-
-            site = site_at(0, 1, components=ids)
-        else:
-            site = _rep(site, components=ids)
-    step = MoveStep(move=args.move, site=site, args=step_args)
     try:
+        site = parse_site(args.site, args.components)
+        step = MoveStep(move=args.move, site=site, args=step_args)
         final, _log = run_script(MoveScript(initial=d, steps=(step,)))
     except MoveError as exc:
         return _fail(str(exc), EXIT_PRECONDITION)
@@ -209,11 +198,7 @@ def cmd_verify(args):
     ids = sorted(SCENARIOS) if args.all else [args.scenario]
     if not ids or ids == [None]:
         return _fail("verify needs a scenario id or --all", EXIT_IO)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(verify_scenario, ids))
-    else:
-        reports = [verify_scenario(i) for i in ids]
+    reports = [verify_scenario(i) for i in ids]
     ok = all(r["pass"] for r in reports)
     if args.json:
         json.dump(reports, sys.stdout, indent=2, sort_keys=True)
@@ -287,7 +272,6 @@ def build_parser():
     p = sub.add_parser("verify", help="replay bundled scenarios")
     p.add_argument("scenario", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

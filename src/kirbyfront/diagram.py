@@ -36,7 +36,6 @@ __all__ = [
     "ValidationError",
     "strand_counts",
     "right_count",
-    "is_closed",
     "trace_components",
     "mirror",
     "check_spin_symmetry",
@@ -176,10 +175,6 @@ def right_count(d):
     return strand_counts(d.events, d.left_count)[-1]
 
 
-def is_closed(d):
-    return d.left_count == 0 and right_count(d) == 0
-
-
 # ---------------------------------------------------------------------------
 # Component tracing
 # ---------------------------------------------------------------------------
@@ -204,9 +199,6 @@ class Trace:
     seg_dir: dict  # (gap, slot) -> +1 / -1 traversal direction
     components: list  # TracedComponent, index cid-1
     counts: list  # strand count per gap
-
-    def component_of(self, gap, slot):
-        return self.seg_comp[(gap, slot)]
 
 
 def _slot_maps(events, counts):

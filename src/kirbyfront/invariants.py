@@ -195,16 +195,13 @@ def _with_default_attrs(d):
     return default_attrs(d)
 
 
-def linking_matrix(d):
-    """Surgery linking data of a spin-0 diagram.
-
-    Diagonal entries are tb - 1 (the Weinstein 2-handle framing), the
-    off-diagonal ones signed linking numbers between the -1 components, and
-    ``over_ones`` counts geometric passes of each -1 component over each
-    subcritical +1 unknot (crossings with it / 2).
-    """
+def _surgery_data(d, what):
+    """The pass that linking and homology data share: the decorated
+    diagram, its trace, the -1 ids and the subcritical +1 ids in canonical
+    order, and per unordered pair of distinct components the signed
+    linking number and the geometric pass count (crossings / 2)."""
     if d.spin != 0:
-        raise InvariantError("linking data is defined for spin 0 only")
+        raise InvariantError(f"{what} data is defined for spin 0 only")
     if not d.attrs:
         d = _with_default_attrs(d)
     tr = trace_components(d)
@@ -216,19 +213,31 @@ def linking_matrix(d):
         for c in tr.components
         if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
     ]
-    for cid in minus:
-        if not tr.components[cid - 1].closed:
-            raise InvariantError(f"-1 component {cid} is open")
-
-    xs = crossing_data(d, tr)
     lk = {}
     geo = {}
-    for (_i, cf, cb, sign) in xs:
+    for (_i, cf, cb, sign) in crossing_data(d, tr):
         if cf == cb:
             continue
         key = (min(cf, cb), max(cf, cb))
         lk[key] = lk.get(key, 0) + sign
         geo[key] = geo.get(key, 0) + 1
+    linking = {key: v // 2 for key, v in lk.items()}
+    passes = {key: v // 2 for key, v in geo.items()}
+    return d, tr, minus, plus_sub, linking, passes
+
+
+def linking_matrix(d):
+    """Surgery linking data of a spin-0 diagram.
+
+    Diagonal entries are tb - 1 (the Weinstein 2-handle framing), the
+    off-diagonal ones signed linking numbers between the -1 components, and
+    ``over_ones`` counts geometric passes of each -1 component over each
+    subcritical +1 unknot (crossings with it / 2).
+    """
+    d, tr, minus, plus_sub, linking, passes = _surgery_data(d, "linking")
+    for cid in minus:
+        if not tr.components[cid - 1].closed:
+            raise InvariantError(f"-1 component {cid} is open")
 
     size = len(minus)
     matrix = [[0] * size for _ in range(size)]
@@ -237,13 +246,12 @@ def linking_matrix(d):
         matrix[a][a] = inv.tb - 1
         for b in range(a + 1, size):
             key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
-            val = lk.get(key, 0) // 2
-            matrix[a][b] = matrix[b][a] = val
-    over = {}
-    for mc in minus:
-        for pc in plus_sub:
-            key = (min(mc, pc), max(mc, pc))
-            over[(mc, pc)] = geo.get(key, 0) // 2
+            matrix[a][b] = matrix[b][a] = linking.get(key, 0)
+    over = {
+        (mc, pc): passes.get((min(mc, pc), max(mc, pc)), 0)
+        for mc in minus
+        for pc in plus_sub
+    }
     return LinkingData(
         minus_ids=tuple(minus),
         matrix=tuple(tuple(row) for row in matrix),
@@ -260,32 +268,12 @@ def homology_presentation(d):
     torsion and full rank; degenerate presentations report their free rank
     as trailing zeros.
     """
-    if d.spin != 0:
-        raise InvariantError("homology data is defined for spin 0 only")
-    if not d.attrs:
-        d = _with_default_attrs(d)
-    tr = trace_components(d)
-    minus = [
-        c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
-    ]
-    plus_sub = [
-        c.cid
-        for c in tr.components
-        if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
-    ]
+    d, tr, minus, plus_sub, linking, _passes = _surgery_data(d, "homology")
     order = plus_sub + minus
     index = {cid: k for k, cid in enumerate(order)}
     size = len(order)
     if size == 0:
         return []
-
-    xs = crossing_data(d, tr)
-    lk = {}
-    for (_i, cf, cb, sign) in xs:
-        if cf == cb:
-            continue
-        key = (min(cf, cb), max(cf, cb))
-        lk[key] = lk.get(key, 0) + sign
 
     m = [[0] * size for _ in range(size)]
     for cid in minus:
@@ -297,8 +285,7 @@ def homology_presentation(d):
             if ca in plus_sub and cb_ in plus_sub:
                 continue
             key = (min(ca, cb_), max(ca, cb_))
-            val = lk.get(key, 0) // 2
-            m[a][b] = m[b][a] = val
+            m[a][b] = m[b][a] = linking.get(key, 0)
 
     from .smith import smith_normal_form
 

@@ -23,21 +23,8 @@ junction, normalize, and cancel the pair.
 from __future__ import annotations
 
 from .diagram import COEFF_MINUS, COEFF_PLUS, Event, trace_components
-from .moves import (
-    MoveError,
-    _require,
-    _stab_template,
-    birth_cancel_pair,
-    clasp,
-    exchange,
-    handleslide,
-    normalize,
-    reidemeister,
-    site_at,
-    stabilize,
-    witness_subcritical,
-)
-from .scripts import MoveScript, MoveStep
+from .moves import MoveError, _require, _stab_template, birth_cancel_pair, site_at
+from .scripts import MoveScript, MoveStep, apply_step
 
 __all__ = ["crossing_change_macro", "destabilize_macro"]
 
@@ -50,50 +37,13 @@ class _Builder:
         self.cur = d
         self.steps = []
 
-    def _record(self, move, site, args):
-        self.steps.append(
-            MoveStep(
-                move=move,
-                site=site,
-                args={k: str(v) for k, v in (args or {}).items()},
-                asserts={"events": str(len(self.cur.events))},
-            )
-        )
-
     def apply(self, move, site=None, **args):
-        d = self.cur
-        if move == "stabilize":
-            res = stabilize(d, int(args["comp"]), site, "stabilize")
-        elif move == "birth":
-            res = birth_cancel_pair(d, site, "birth")
-        elif move == "cancel":
-            res = birth_cancel_pair(d, site, "cancel")
-        elif move == "unclasp":
-            res = clasp(d, site, "unclasp")
-        elif move == "exchange":
-            res = exchange(d, site)
-        elif move == "handleslide":
-            res = handleslide(
-                d, int(args["moving"]), int(args["over"]), args["variant"], site
-            )
-        elif move == "witness":
-            res = witness_subcritical(d, int(args["comp"]))
-        elif move in ("r1", "r2", "r3"):
-            res = reidemeister(
-                d,
-                move.upper(),
-                site,
-                variant=int(args.get("variant", 1)),
-                direction=args.get("direction", "forward"),
-            )
-        elif move == "normalize":
-            self.cur = normalize(d)
-            self._record(move, site, args)
-            return None
-        else:
-            raise MoveError(f"macro builder: unknown move {move}")
+        args = {k: str(v) for k, v in args.items()}
+        res = apply_step(self.cur, MoveStep(move=move, site=site, args=args))
         self.cur = res.diagram
-        self._record(move, site, args)
+        self.steps.append(
+            MoveStep(move, site, args, asserts={"events": str(len(self.cur.events))})
+        )
         return res
 
     def script(self):

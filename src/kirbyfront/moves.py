@@ -102,6 +102,13 @@ def _require(cond, message):
         raise MoveError(message)
 
 
+def _attr(d, cid):
+    """The decorations of component ``cid``; an id outside the diagram's
+    components is a precondition failure."""
+    _require(1 <= cid <= len(d.attrs), f"no component {cid}")
+    return d.attrs[cid - 1]
+
+
 def _strand_comp(tr, gap, slot):
     try:
         return tr.seg_comp[(gap, slot)]
@@ -318,7 +325,7 @@ def handleslide(d, moving, over, variant, site):
     want_coeff, side = _SLIDE_VARIANTS[variant]
     _require(d.attrs, "handleslide needs decorated components")
     _require(
-        d.attrs[over - 1].coefficient == want_coeff,
+        _attr(d, over).coefficient == want_coeff,
         f"component {over} does not carry the"
         f" {'-1' if want_coeff == COEFF_MINUS else '+1'} coefficient of this variant",
     )
@@ -568,8 +575,8 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
     and the rest of the diagram reconnects.
     """
     _require(d.attrs, "cancel_trivial_bypass needs decorated components")
-    an = d.attrs[n_handle - 1]
-    ap = d.attrs[np1_handle - 1]
+    an = _attr(d, n_handle)
+    ap = _attr(d, np1_handle)
     _require(
         an.coefficient == COEFF_MINUS,
         f"component {n_handle} does not carry -1 surgery (TB pattern)",
@@ -647,7 +654,7 @@ def birth_cancel_pair(d, site, direction="birth"):
         )
         plus, minus = site.components
         _require(d.attrs, "cancel needs decorated components")
-        ap, am = d.attrs[plus - 1], d.attrs[minus - 1]
+        ap, am = _attr(d, plus), _attr(d, minus)
         _require(
             ap.coefficient == COEFF_PLUS and not (ap.node_plus or ap.node_minus),
             f"component {plus} is not a subcritical +1 unknot",
@@ -681,7 +688,7 @@ def witness_subcritical(d, cid):
     the start, so the rewrite itself is the identity.
     """
     _require(d.attrs, "witness needs decorated components")
-    a = d.attrs[cid - 1]
+    a = _attr(d, cid)
     _require(
         a.coefficient == COEFF_PLUS and not (a.node_plus or a.node_minus),
         f"component {cid} is not a subcritical +1 unknot",

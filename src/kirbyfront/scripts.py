@@ -8,15 +8,17 @@ every precondition and fails atomically at the first violation.
 Text format (``.script``), one step per line::
 
     use <diagram file>
-    <move> site=<e0>..<e1>/<s0>..<s1> [key=value ...] [assert <k>=<v> ...]
+    <move> site=<e0>..<e1>/<s0>..<s1> [components=<c1>,<c2>] [key=value ...]
+        [assert <k>=<v> ...]
 
 Component arguments refer to canonical component ids of the diagram the
-step acts on.
+step acts on.  :data:`MOVES` lists the moves and the arguments each takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 from .diagram import (
     FrontDiagram,
@@ -28,6 +30,7 @@ from .diagram import (
 from .invariants import classical_invariants, handle_census
 from .moves import (
     MoveError,
+    MoveResult,
     MoveSite,
     birth_cancel_pair,
     cancel_trivial_bypass,
@@ -44,8 +47,8 @@ from .moves import (
 )
 from .wordops import exchange_canonical
 
-__all__ = ["MoveStep", "MoveScript", "ScriptError", "run_script", "parse_script",
-           "format_script"]
+__all__ = ["MoveStep", "MoveScript", "ScriptError", "MOVES", "apply_step", "run_script",
+           "parse_site", "parse_script", "format_script"]
 
 
 class ScriptError(MoveError):
@@ -75,9 +78,6 @@ class MoveScript:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-_NO_SITE = {"cancel_trivial_bypass", "witness", "normalize", "canonical"}
-
-
 def _int_arg(args, name, default=None):
     """An integer move argument; missing (with no default) or not an
     integer is a precondition failure of the step."""
@@ -90,49 +90,88 @@ def _int_arg(args, name, default=None):
         raise MoveError(f"argument {name}={value!r} is not an integer") from None
 
 
-def _apply_step(d, step):
-    m = step.move
-    a = step.args
-    s = step.site
-    if m == "clasp":
-        return clasp(d, s, "clasp").diagram
-    if m == "unclasp":
-        return clasp(d, s, "unclasp").diagram
-    if m == "stabilize":
-        return stabilize(d, _int_arg(a, "comp"), s, "stabilize").diagram
-    if m == "destabilize":
-        return stabilize(d, _int_arg(a, "comp"), s, "destabilize").diagram
-    if m == "uplus":
-        return uplus(d, _int_arg(a, "a"), _int_arg(a, "b"), s).diagram
-    if m == "handleslide":
-        return handleslide(
+# call(diagram, site, args) -> MoveResult; args: the argument names the
+# move accepts.  A named tuple, not a dataclass: cheaper to import.
+_Move = namedtuple("_Move", "call needs_site args", defaults=(True, ()))
+
+
+def _reidemeister(move):
+    return lambda d, s, a: reidemeister(
+        d,
+        move,
+        s,
+        variant=_int_arg(a, "variant", 1),
+        direction=a.get("direction", "forward"),
+    )
+
+
+# The calls look each move function up by its module-level name when they
+# run, not when the table is built, so a rebound name (a tracing wrapper,
+# say) also sees the moves that scripts and macros make.
+MOVES = {
+    "clasp": _Move(lambda d, s, a: clasp(d, s, "clasp")),
+    "unclasp": _Move(lambda d, s, a: clasp(d, s, "unclasp")),
+    "stabilize": _Move(
+        lambda d, s, a: stabilize(d, _int_arg(a, "comp"), s, "stabilize"),
+        args=("comp",),
+    ),
+    "destabilize": _Move(
+        lambda d, s, a: stabilize(d, _int_arg(a, "comp"), s, "destabilize"),
+        args=("comp",),
+    ),
+    "uplus": _Move(
+        lambda d, s, a: uplus(d, _int_arg(a, "a"), _int_arg(a, "b"), s),
+        args=("a", "b"),
+    ),
+    "handleslide": _Move(
+        lambda d, s, a: handleslide(
             d, _int_arg(a, "moving"), _int_arg(a, "over"), a.get("variant"), s
-        ).diagram
-    if m == "crossing_change":
-        return crossing_change(d, s, a.get("mode", "primitive")).diagram
-    if m == "cancel_trivial_bypass":
-        return cancel_trivial_bypass(d, _int_arg(a, "n"), _int_arg(a, "np1")).diagram
-    if m == "birth":
-        return birth_cancel_pair(d, s, "birth").diagram
-    if m == "cancel":
-        return birth_cancel_pair(d, s, "cancel").diagram
-    if m == "witness":
-        return witness_subcritical(d, _int_arg(a, "comp")).diagram
-    if m == "exchange":
-        return exchange(d, s).diagram
-    if m in ("r1", "r2", "r3"):
-        return reidemeister(
-            d,
-            m.upper(),
-            s,
-            variant=_int_arg(a, "variant", 1),
-            direction=a.get("direction", "forward"),
-        ).diagram
-    if m == "normalize":
-        return normalize(d)
-    if m == "canonical":
-        return exchange_canonical(d)
-    raise MoveError(f"unknown move {m!r}")
+        ),
+        args=("moving", "over", "variant"),
+    ),
+    "crossing_change": _Move(lambda d, s, a: crossing_change(d, s)),
+    "cancel_trivial_bypass": _Move(
+        lambda d, s, a: cancel_trivial_bypass(d, _int_arg(a, "n"), _int_arg(a, "np1")),
+        needs_site=False,
+        args=("n", "np1"),
+    ),
+    "birth": _Move(lambda d, s, a: birth_cancel_pair(d, s, "birth")),
+    "cancel": _Move(lambda d, s, a: birth_cancel_pair(d, s, "cancel")),
+    "witness": _Move(
+        lambda d, s, a: witness_subcritical(d, _int_arg(a, "comp")),
+        needs_site=False,
+        args=("comp",),
+    ),
+    "exchange": _Move(lambda d, s, a: exchange(d, s)),
+    "r1": _Move(_reidemeister("R1"), args=("variant", "direction")),
+    "r2": _Move(_reidemeister("R2"), args=("variant", "direction")),
+    "r3": _Move(_reidemeister("R3"), args=("variant", "direction")),
+    # no component map: normalization may renumber components
+    "normalize": _Move(lambda d, s, a: MoveResult(normalize(d), {}), needs_site=False),
+    "canonical": _Move(
+        lambda d, s, a: MoveResult(exchange_canonical(d), {}), needs_site=False
+    ),
+}
+
+
+def apply_step(d, step):
+    """Apply one step's move to ``d`` and return the move's
+    :class:`MoveResult`.
+
+    A script step is always the primitive move.  An unknown move, a
+    missing site and an argument the move does not accept are
+    :class:`MoveError` preconditions, like the move's own.
+    """
+    spec = MOVES.get(step.move)
+    if spec is None:
+        raise MoveError(f"unknown move {step.move!r}")
+    if spec.needs_site and step.site is None:
+        raise MoveError("needs a site")
+    for key in step.args:
+        if key not in spec.args:
+            takes = ", ".join(f"{k}=" for k in spec.args) or "no arguments"
+            raise MoveError(f"unknown argument {key}= (takes {takes})")
+    return spec.call(d, step.site, step.args)
 
 
 def _check_assert(d, key, value):
@@ -172,7 +211,7 @@ def run_script(script, check_valid=True):
     log = []
     for idx, step in enumerate(script.steps, start=1):
         try:
-            d = _apply_step(d, step)
+            d = apply_step(d, step).diagram
         except MoveError as exc:
             raise ScriptError(idx, f"{step.move}: {exc}") from exc
         for key, value in step.asserts.items():
@@ -194,16 +233,34 @@ def run_script(script, check_valid=True):
 # ---------------------------------------------------------------------------
 
 
-def _parse_site(text):
-    # e0..e1/s0..s1
-    evs, _, strands = text.partition("/")
+def _site_int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise MoveError(f"{what}: {text!r} is not an integer") from None
+
+
+def parse_site(site=None, components=None):
+    """The :class:`MoveSite` written as ``e0..e1/s0..s1`` and/or
+    ``c1,c2,...``; None when both texts are None.  A component list alone
+    sits at gap 0, slot 1.  A number that does not parse is a
+    :class:`MoveError`."""
+    ids = ()
+    if components is not None:
+        what = f"components={components}"
+        ids = tuple(_site_int(x, what) for x in components.split(","))
+    if site is None:
+        return site_at(0, 1, components=ids) if components is not None else None
+    what = f"site={site}"
+    evs, _, strands = site.partition("/")
     e0, _, e1 = evs.partition("..")
     s0, _, s1 = strands.partition("..")
     return MoveSite(
-        e0=int(e0),
-        e1=int(e1 if e1 else e0),
-        s0=int(s0),
-        s1=int(s1 if s1 else 0),
+        e0=_site_int(e0, what),
+        e1=_site_int(e1 if e1 else e0, what),
+        s0=_site_int(s0, what),
+        s1=_site_int(s1 if s1 else 0, what),
+        components=ids,
     )
 
 
@@ -229,7 +286,7 @@ def parse_script(text, loader=None, initial=None):
                 init = parse_front(loader(" ".join(toks[1:])))
             continue
         move = toks[0]
-        site = None
+        site = components = None
         args = {}
         asserts = {}
         i = 1
@@ -246,16 +303,19 @@ def parse_script(text, loader=None, initial=None):
             if not _:
                 raise MoveError(f"line {lineno}: expected key=value, got {tok!r}")
             if k == "site":
-                site = _parse_site(v)
+                site = v
             elif k == "components":
-                ids = tuple(int(x) for x in v.split(","))
-                site = replace(site, components=ids) if site else site_at(
-                    0, 1, components=ids
-                )
+                components = v
             else:
                 args[k] = v
             i += 1
-        if move not in _NO_SITE and site is None and move not in ("normalize",):
+        if move not in MOVES:
+            raise MoveError(f"line {lineno}: unknown move {move!r}")
+        try:
+            site = parse_site(site, components)
+        except MoveError as exc:
+            raise MoveError(f"line {lineno}: {exc}") from None
+        if MOVES[move].needs_site and site is None:
             raise MoveError(f"line {lineno}: move {move} needs a site")
         steps.append(MoveStep(move=move, site=site, args=args, asserts=asserts))
     if init is None:

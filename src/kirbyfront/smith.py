@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "invariant_factors"]
+__all__ = ["smith_normal_form"]
 
 
 def smith_normal_form(matrix):
@@ -70,10 +70,3 @@ def smith_normal_form(matrix):
         diag.append(0)
     return diag
 
-
-def invariant_factors(matrix):
-    """Invariant factors > 1 of the cokernel of the matrix (as a map between
-    free Z-modules), i.e. the torsion orders plus nothing for unimodular
-    presentations; free rank is reported separately by callers."""
-    diag = smith_normal_form(matrix)
-    return [d for d in diag if d > 1]

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from kirbyfront.cli import main
-from kirbyfront.diagram import serialize_front
+from kirbyfront.diagram import COEFF_PLUS, serialize_front
 from kirbyfront.families import cieliebak_diagram, mazur_diagram, unknot
+from kirbyfront.scripts import MOVES
 
 
 @pytest.fixture
@@ -76,6 +77,60 @@ def test_apply_missing_argument_exit_code(tmp_path, capsys):
     assert "missing argument comp=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (["--site", "1..x/1..1"], "site=1..x/1..1: 'x' is not an integer"),
+        (["--site", "1..1/1..1", "--components", "1,x"], "components=1,x: 'x'"),
+        (["--components", "1,x"], "components=1,x: 'x' is not an integer"),
+    ],
+)
+def test_apply_malformed_site_exit_code(tmp_path, capsys, where, message):
+    src = tmp_path / "u.front"
+    src.write_text(serialize_front(unknot(coefficient=-1)))
+    code = main(["apply", str(src), "--move", "stabilize", *where, "--arg", "comp=1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_apply_missing_site_exit_code(tmp_path, capsys):
+    src = tmp_path / "u.front"
+    src.write_text(serialize_front(unknot()))
+    assert main(["apply", str(src), "--move", "clasp"]) == 2
+    assert "clasp: needs a site" in capsys.readouterr().err
+
+
+def test_apply_crossing_change_is_primitive(tmp_path, capsys):
+    src = tmp_path / "t.front"
+    src.write_text("diagram t\nspin 0\nleft 0\nevents\n  L1 L1 X1 X1 R1 R1\nend\n")
+    site = ["--move", "crossing_change", "--site", "2..3/1..1"]
+    assert main(["apply", str(src), *site]) == 0
+    assert "L3" in capsys.readouterr().out
+    assert main(["apply", str(src), *site, "--arg", "mode=macro"]) == 2
+    assert "unknown argument mode= (takes no arguments)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("comp", ["5", "0"])
+def test_apply_component_out_of_range_exit_code(tmp_path, capsys, comp):
+    # unchecked, comp=0 would read the decorations of the last component
+    src = tmp_path / "u.front"
+    src.write_text(serialize_front(unknot(coefficient=COEFF_PLUS)))
+    assert main(["apply", str(src), "--move", "witness", "--arg", "comp=1"]) == 0
+    capsys.readouterr()
+    code = main(["apply", str(src), "--move", "witness", "--arg", f"comp={comp}"])
+    assert code == 2
+    assert f"no component {comp}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_apply_every_move_rejects_bad_input_cleanly(capsys, mazur_file, move):
+    for extra in ([], ["--site", "1..2/1..1"], ["--site", "1..2/1..1", "--arg", "zz=1"]):
+        code = main(["apply", mazur_file, "--move", move, *extra, "-o", "-"])
+        err = capsys.readouterr().err
+        assert code in ((2,) if "--arg" in extra else (0, 2)), extra
+        assert "Traceback" not in err
+
+
 def test_normalize_command(tmp_path, capsys):
     src = tmp_path / "u.front"
     src.write_text(serialize_front(unknot()))
@@ -114,7 +169,7 @@ def test_ribbon_malformed_number_exit_code(tmp_path, capsys, text):
 
 
 def test_verify_all(capsys):
-    assert main(["verify", "--all", "--jobs", "2"]) == 0
+    assert main(["verify", "--all"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
 

@@ -11,6 +11,8 @@ from kirbyfront.diagram import (
     Event,
     FrontDiagram,
     default_attrs,
+    parse_front,
+    trace_components,
 )
 from kirbyfront.families import (
     cieliebak_diagram,
@@ -22,12 +24,19 @@ from kirbyfront.families import (
 )
 from kirbyfront.invariants import (
     InvariantError,
+    LinkingData,
+    _classify,
+    _with_default_attrs,
     classical_invariants,
+    crossing_data,
     handle_census,
     homology_presentation,
     linking_matrix,
 )
-from kirbyfront.smith import invariant_factors, smith_normal_form
+from kirbyfront.moves import MoveError, birth_cancel_pair, site_at
+from kirbyfront.smith import smith_normal_form
+
+from conftest import random_diagram
 
 
 def test_unknot_invariants():
@@ -194,3 +203,156 @@ def test_homology_minus_two_framed_unknot():
 
 def test_homology_empty():
     assert homology_presentation(FrontDiagram()) == []
+
+
+# ---------------------------------------------------------------------------
+# The two functions as they were before they shared one linking pass, kept
+# as oracles for the shared pass.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_linking_matrix(d):
+    if d.spin != 0:
+        raise InvariantError("linking data is defined for spin 0 only")
+    if not d.attrs:
+        d = _with_default_attrs(d)
+    tr = trace_components(d)
+    minus = [
+        c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
+    ]
+    plus_sub = [
+        c.cid
+        for c in tr.components
+        if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
+    ]
+    for cid in minus:
+        if not tr.components[cid - 1].closed:
+            raise InvariantError(f"-1 component {cid} is open")
+
+    xs = crossing_data(d, tr)
+    lk = {}
+    geo = {}
+    for (_i, cf, cb, sign) in xs:
+        if cf == cb:
+            continue
+        key = (min(cf, cb), max(cf, cb))
+        lk[key] = lk.get(key, 0) + sign
+        geo[key] = geo.get(key, 0) + 1
+
+    size = len(minus)
+    matrix = [[0] * size for _ in range(size)]
+    for a in range(size):
+        inv = classical_invariants(d, minus[a], tr)
+        matrix[a][a] = inv.tb - 1
+        for b in range(a + 1, size):
+            key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
+            val = lk.get(key, 0) // 2
+            matrix[a][b] = matrix[b][a] = val
+    over = {}
+    for mc in minus:
+        for pc in plus_sub:
+            key = (min(mc, pc), max(mc, pc))
+            over[(mc, pc)] = geo.get(key, 0) // 2
+    return LinkingData(
+        minus_ids=tuple(minus),
+        matrix=tuple(tuple(row) for row in matrix),
+        over_ones=over,
+    )
+
+
+def _oracle_homology_presentation(d):
+    if d.spin != 0:
+        raise InvariantError("homology data is defined for spin 0 only")
+    if not d.attrs:
+        d = _with_default_attrs(d)
+    tr = trace_components(d)
+    minus = [
+        c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
+    ]
+    plus_sub = [
+        c.cid
+        for c in tr.components
+        if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
+    ]
+    order = plus_sub + minus
+    index = {cid: k for k, cid in enumerate(order)}
+    size = len(order)
+    if size == 0:
+        return []
+
+    xs = crossing_data(d, tr)
+    lk = {}
+    for (_i, cf, cb, sign) in xs:
+        if cf == cb:
+            continue
+        key = (min(cf, cb), max(cf, cb))
+        lk[key] = lk.get(key, 0) + sign
+
+    m = [[0] * size for _ in range(size)]
+    for cid in minus:
+        inv = classical_invariants(d, cid, tr)
+        m[index[cid]][index[cid]] = inv.tb - 1
+    for a in range(size):
+        for b in range(a + 1, size):
+            ca, cb_ = order[a], order[b]
+            if ca in plus_sub and cb_ in plus_sub:
+                continue
+            key = (min(ca, cb_), max(ca, cb_))
+            val = lk.get(key, 0) // 2
+            m[a][b] = m[b][a] = val
+
+    diag = smith_normal_form(m)
+    factors = [x for x in diag if x > 1]
+    factors += [0] * sum(1 for x in diag if x == 0)
+    return factors
+
+
+def _outcome(fn, d):
+    try:
+        return fn(d)
+    except InvariantError as exc:
+        return ("InvariantError", str(exc))
+
+
+def _births(d):
+    """Every diagram one birth away from d."""
+    out = []
+    counts = trace_components(d).counts
+    for gap, count in enumerate(counts):
+        for slot in range(1, count + 2):
+            try:
+                out.append(birth_cancel_pair(d, site_at(gap, slot), "birth").diagram)
+            except MoveError:
+                pass
+    return out
+
+
+def test_shared_linking_pass_matches_oracles():
+    rng = random.Random(31337)
+    corpus = [random_diagram(rng) for _ in range(200)]
+    corpus += [cieliebak_diagram(k, m) for k in range(-2, 3) for m in range(1, 7)]
+    tb_pair, _nid, np1 = trivial_bypass_pair()
+    named = [mazur_diagram(), tb_pair]
+    corpus += named + [b for d in named for b in _births(d)]
+    # the error paths: a spun diagram, an open -1 component, a +1 unknot
+    # with one node
+    corpus.append(random_diagram(rng, spin=1))
+    corpus.append(
+        parse_front(
+            "diagram o\nspin 0\nleft 2\nevents\n  L3 X2 R3\nend\n"
+            "component a coeff -1\ncomponent b coeff -1\n"
+        )
+    )
+    attrs = list(tb_pair.attrs)
+    attrs[np1 - 1] = replace(attrs[np1 - 1], node_minus=False)
+    corpus.append(replace(tb_pair, attrs=tuple(attrs)))
+
+    errors = 0
+    for d in corpus:
+        got = _outcome(linking_matrix, d)
+        assert got == _outcome(_oracle_linking_matrix, d), d
+        assert _outcome(homology_presentation, d) == _outcome(
+            _oracle_homology_presentation, d
+        ), d
+        errors += isinstance(got, tuple)
+    assert len(corpus) > 260 and errors >= 3

@@ -338,6 +338,21 @@ def test_witness_subcritical():
         witness_subcritical(b, 2)
 
 
+def test_component_ids_out_of_range_rejected():
+    d, nid, _np1 = trivial_bypass_pair()
+    born = birth_cancel_pair(FrontDiagram(name="e"), site_at(0, 1), "birth").diagram
+    calls = (
+        lambda c: witness_subcritical(born, c),
+        lambda c: handleslide(d, nid, c, "minus_up", site_at(1, 1)),
+        lambda c: cancel_trivial_bypass(d, nid, c),
+        lambda c: birth_cancel_pair(born, site_at(0, 1, components=(1, c)), "cancel"),
+    )
+    for call in calls:
+        for cid in (0, 3):
+            with pytest.raises(MoveError, match=f"no component {cid}"):
+                call(cid)
+
+
 # ---------------------------------------------------------------------------
 # Reidemeister moves and normalize
 # ---------------------------------------------------------------------------

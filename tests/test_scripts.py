@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kirbyfront.diagram import COEFF_MINUS, serialize_front
@@ -10,7 +12,7 @@ from kirbyfront.scripts import (
     parse_script,
     run_script,
 )
-from kirbyfront.moves import site_at
+from kirbyfront.moves import MoveError, site_at
 
 
 def test_empty_script_returns_initial():
@@ -98,3 +100,18 @@ def test_bundled_data_files_replay():
     assert final.events == ()
     # the bundled diagram is the canonical serialization of the generator
     assert front == serialize_front(mazur_diagram())
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("stabilize site=a..1/1..1 comp=1", "line 1: site=a..1/1..1: 'a' is not an integer"),
+        ("cancel site=0..0/1..1 components=1,b", "line 1: components=1,b: 'b' is not"),
+        ("cancel components=", "line 1: components=: '' is not an integer"),
+        ("unclasp", "line 1: move unclasp needs a site"),
+        ("frobnicate site=1..1/1..1", "line 1: unknown move 'frobnicate'"),
+    ],
+)
+def test_parse_script_rejects_malformed_steps(line, message):
+    with pytest.raises(MoveError, match=re.escape(message)):
+        parse_script(line + "\n", initial=unknot())
