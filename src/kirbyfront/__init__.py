@@ -19,6 +19,7 @@ from .diagram import (
     check_spin_symmetry,
     default_attrs,
     mirror,
+    mirror_events,
     parse_front,
     serialize_front,
     trace_components,

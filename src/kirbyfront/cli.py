@@ -21,14 +21,7 @@ import argparse
 import json
 import sys
 
-from .diagram import (
-    DiagramError,
-    ParseError,
-    parse_front,
-    serialize_front,
-    trace_components,
-    validate_diagram,
-)
+from .diagram import ParseError, parse_front, serialize_front, validate_diagram
 from .framing import framing_map_check
 from .invariants import (
     InvariantError,

@@ -32,12 +32,14 @@ __all__ = [
     "TracedComponent",
     "Trace",
     "DiagramError",
+    "MoveError",
     "ParseError",
     "ValidationError",
     "strand_counts",
     "right_count",
     "trace_components",
     "mirror",
+    "mirror_events",
     "check_spin_symmetry",
     "validate_diagram",
     "parse_front",
@@ -66,6 +68,10 @@ class ParseError(DiagramError):
 
 class ValidationError(DiagramError):
     pass
+
+
+class MoveError(DiagramError):
+    """A move precondition or template match failed."""
 
 
 @dataclass(frozen=True)
@@ -315,34 +321,74 @@ def trace_components(d):
     return trace
 
 
+def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=None):
+    """Transport attributes along a partial segment map old->new.
+
+    ``old_trace`` is the trace of ``d``.  Returns (attrs, old_to_new,
+    fresh): new components no old segment maps to are fresh and get
+    ``fresh_attr``.  ``merge`` resolves several old attributes landing on
+    one new component; without it a merge is an error.
+    """
+    ncomp = len(new_trace.components)
+    sources = [set() for _ in range(ncomp)]
+    for old_seg, new_seg in seg_map.items():
+        oc = old_trace.seg_comp[old_seg]
+        nc = new_trace.seg_comp[new_seg]
+        sources[nc - 1].add(oc)
+
+    old_to_new = {}
+    for nc0, src in enumerate(sources):
+        for oc in src:
+            old_to_new[oc] = nc0 + 1
+
+    def old_attr(oc):
+        return d.attrs[oc - 1] if d.attrs else ComponentAttr()
+
+    attrs = []
+    fresh = []
+    for nc0, src in enumerate(sources):
+        if not src:
+            fresh.append(nc0 + 1)
+            attrs.append(fresh_attr or ComponentAttr(label=""))
+        elif len(src) == 1:
+            attrs.append(old_attr(next(iter(src))))
+        else:
+            if merge is None:
+                raise MoveError(
+                    f"rewrite merged components {sorted(src)} without a merge rule"
+                )
+            attrs.append(merge(sorted(src), [old_attr(i) for i in sorted(src)]))
+    fixed = []
+    for a in attrs:
+        links = tuple(old_to_new[t] for t in a.dashed_links if t in old_to_new)
+        fixed.append(replace(a, dashed_links=links))
+    return tuple(fixed), old_to_new, fresh
+
+
+_MIRROR_KIND = {"L": "R", "R": "L", "X": "X"}
+
+
+def mirror_events(events):
+    """Mirror a block: reverse order, swap cusp kinds, keep positions."""
+    return tuple(Event(_MIRROR_KIND[e.kind], e.pos) for e in reversed(events))
+
+
 def mirror(d):
     """The mirror diagram: word reversed, cusps swapped, positions kept."""
-    rev = tuple(
-        Event("L" if e.kind == "R" else "R" if e.kind == "L" else "X", e.pos)
-        for e in reversed(d.events)
-    )
-    rc = right_count(d)
-    nev = len(d.events)
     mirrored = FrontDiagram(
-        name=d.name, spin=d.spin, left_count=rc, events=rev, attrs=()
+        name=d.name,
+        spin=d.spin,
+        left_count=right_count(d),
+        events=mirror_events(d.events),
     )
     if not d.attrs:
         return mirrored
-    # Transport attributes through the segment correspondence (g, s) -> (nev - g, s).
+    # Segment (g, s) of d is segment (nev - g, s) of the mirror.
+    nev = len(d.events)
     old = trace_components(d)
-    new = trace_components(mirrored)
-    attrs = [None] * len(new.components)
-    for (g, s), cid in old.seg_comp.items():
-        ncid = new.seg_comp[(nev - g, s)]
-        attrs[ncid - 1] = d.attrs[cid - 1]
-    remap = {}
-    for (g, s), cid in old.seg_comp.items():
-        remap[cid] = new.seg_comp[(nev - g, s)]
-    fixed = tuple(
-        replace(a, dashed_links=tuple(remap[t] for t in a.dashed_links))
-        for a in attrs
-    )
-    return replace(mirrored, attrs=fixed)
+    seg_map = {(g, s): (nev - g, s) for (g, s) in old.seg_comp}
+    attrs, _, _ = _attrs_from_map(d, old, trace_components(mirrored), seg_map)
+    return replace(mirrored, attrs=attrs)
 
 
 def check_spin_symmetry(d):
@@ -352,22 +398,16 @@ def check_spin_symmetry(d):
     """
     if d.left_count != right_count(d):
         return False
-    n = len(d.events)
-    for i, e in enumerate(d.events):
-        m = d.events[n - 1 - i]
-        want = "L" if m.kind == "R" else "R" if m.kind == "L" else "X"
-        if e.kind != want or e.pos != m.pos:
-            return False
-    return True
+    # compared in place: building the mirrored word costs an Event per event
+    return all(
+        e.kind == _MIRROR_KIND[m.kind] and e.pos == m.pos
+        for e, m in zip(d.events, reversed(d.events))
+    )
 
 
 def validate_diagram(d):
     """All invariant violations as strings; empty list iff valid."""
     violations = []
-    try:
-        strand_counts(d.events, d.left_count)
-    except ValidationError as exc:
-        return [str(exc)]
     try:
         tr = trace_components(d)
     except ValidationError as exc:

@@ -113,6 +113,8 @@ def classical_invariants(d, cid, tr=None):
     if d.spin != 0:
         raise InvariantError("classical invariants are defined for spin 0 only")
     tr = tr or trace_components(d)
+    if not 1 <= cid <= len(tr.components):
+        raise InvariantError(f"no component {cid}")
     comp = tr.components[cid - 1]
     if not comp.closed:
         raise InvariantError(f"component {cid} is open")

@@ -36,6 +36,7 @@ from .diagram import (
 from .invariants import handle_census
 from .wordops import (
     MoveError,
+    _try_swap,
     double_component,
     erase_components,
     erase_segments,
@@ -705,8 +706,6 @@ def exchange(d, site):
     pattern past independent events."""
     i = site.e0
     _require(i + 2 <= len(d.events), "exchange needs two adjacent events")
-    from .wordops import _try_swap
-
     a, b = d.events[i], d.events[i + 1]
     swapped = _try_swap(a, b)
     _require(swapped is not None, f"events {a} and {b} do not commute")

@@ -27,7 +27,7 @@ from .diagram import (
     trace_components,
     validate_diagram,
 )
-from .invariants import classical_invariants, handle_census
+from .invariants import InvariantError, classical_invariants, handle_census
 from .moves import (
     MoveError,
     MoveResult,
@@ -175,25 +175,25 @@ def apply_step(d, step):
 
 
 def _check_assert(d, key, value):
-    if key == "events":
-        return len(d.events) == int(value)
-    if key == "crossings":
-        return sum(1 for e in d.events if e.kind == "X") == int(value)
-    if key == "cusps":
-        return sum(1 for e in d.events if e.kind != "X") == int(value)
-    if key == "components":
-        return len(trace_components(d).components) == int(value)
-    if key == "chi":
-        return handle_census(d).euler == int(value)
     if key == "spin_symmetric":
         return check_spin_symmetry(d) == (value in ("1", "true", True))
-    if key.startswith("tb:"):
-        cid = int(key.split(":", 1)[1])
-        return classical_invariants(d, cid).tb == int(value)
-    if key.startswith("rot:"):
-        cid = int(key.split(":", 1)[1])
-        return classical_invariants(d, cid).rot == int(value)
-    raise MoveError(f"unknown assertion {key!r}")
+    what = f"assertion {key}={value}"
+    if key == "events":
+        got = len(d.events)
+    elif key == "crossings":
+        got = sum(1 for e in d.events if e.kind == "X")
+    elif key == "cusps":
+        got = sum(1 for e in d.events if e.kind != "X")
+    elif key == "components":
+        got = len(trace_components(d).components)
+    elif key == "chi":
+        got = handle_census(d).euler
+    elif key.startswith(("tb:", "rot:")):
+        name, _, cid = key.partition(":")
+        got = getattr(classical_invariants(d, _to_int(cid, what)), name)
+    else:
+        raise MoveError(f"unknown assertion {key!r}")
+    return got == _to_int(value, what)
 
 
 def run_script(script, check_valid=True):
@@ -218,7 +218,7 @@ def run_script(script, check_valid=True):
             ok = False
             try:
                 ok = _check_assert(d, key, value)
-            except MoveError as exc:
+            except (MoveError, InvariantError) as exc:
                 raise ScriptError(idx, str(exc)) from exc
             if not ok:
                 raise ScriptError(
@@ -233,7 +233,7 @@ def run_script(script, check_valid=True):
 # ---------------------------------------------------------------------------
 
 
-def _site_int(text, what):
+def _to_int(text, what):
     try:
         return int(text)
     except ValueError:
@@ -248,7 +248,7 @@ def parse_site(site=None, components=None):
     ids = ()
     if components is not None:
         what = f"components={components}"
-        ids = tuple(_site_int(x, what) for x in components.split(","))
+        ids = tuple(_to_int(x, what) for x in components.split(","))
     if site is None:
         return site_at(0, 1, components=ids) if components is not None else None
     what = f"site={site}"
@@ -256,10 +256,10 @@ def parse_site(site=None, components=None):
     e0, _, e1 = evs.partition("..")
     s0, _, s1 = strands.partition("..")
     return MoveSite(
-        e0=_site_int(e0, what),
-        e1=_site_int(e1 if e1 else e0, what),
-        s0=_site_int(s0, what),
-        s1=_site_int(s1 if s1 else 0, what),
+        e0=_to_int(e0, what),
+        e1=_to_int(e1 if e1 else e0, what),
+        s0=_to_int(s0, what),
+        s1=_to_int(s1 if s1 else 0, what),
         components=ids,
     )
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagram import (
-    ComponentAttr,
     DiagramError,
     Event,
     FrontDiagram,
+    MoveError,
+    ValidationError,
+    _attrs_from_map,
+    mirror_events,
     strand_counts,
     trace_components,
 )
@@ -33,10 +36,6 @@ __all__ = [
 ]
 
 
-class MoveError(DiagramError):
-    """A move precondition or template match failed."""
-
-
 @dataclass
 class Rewrite:
     """Result of a low-level rewrite.
@@ -50,47 +49,25 @@ class Rewrite:
     fresh: list
 
 
-def _attrs_from_map(d, new_trace, seg_map, merge=None, fresh_attr=None):
-    """Transport attributes along a partial segment map old->new.
-
-    ``merge`` resolves several old attributes landing on one new component;
-    without it a merge is an error.
-    """
-    old_trace = trace_components(d)
-    ncomp = len(new_trace.components)
-    sources = [set() for _ in range(ncomp)]
-    for old_seg, new_seg in seg_map.items():
-        oc = old_trace.seg_comp[old_seg]
-        nc = new_trace.seg_comp[new_seg]
-        sources[nc - 1].add(oc)
-
-    old_to_new = {}
-    for nc0, src in enumerate(sources):
-        for oc in src:
-            old_to_new[oc] = nc0 + 1
-
-    def old_attr(oc):
-        return d.attrs[oc - 1] if d.attrs else ComponentAttr()
-
-    attrs = []
-    fresh = []
-    for nc0, src in enumerate(sources):
-        if not src:
-            fresh.append(nc0 + 1)
-            attrs.append(fresh_attr or ComponentAttr(label=""))
-        elif len(src) == 1:
-            attrs.append(old_attr(next(iter(src))))
-        else:
-            if merge is None:
-                raise MoveError(
-                    f"rewrite merged components {sorted(src)} without a merge rule"
-                )
-            attrs.append(merge(sorted(src), [old_attr(i) for i in sorted(src)]))
-    fixed = []
-    for a in attrs:
-        links = tuple(old_to_new[t] for t in a.dashed_links if t in old_to_new)
-        fixed.append(replace(a, dashed_links=links))
-    return tuple(fixed), old_to_new, fresh
+def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None, name=None):
+    """The rewrite of ``d`` (traced as ``tr``) to ``events`` on the same
+    walls, with attributes carried along ``seg_map``; an invalid word is a
+    :class:`MoveError` that starts with ``error``."""
+    out = FrontDiagram(
+        name=name or d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=tuple(events),
+        attrs=(),
+    )
+    try:
+        new_trace = trace_components(out)
+    except DiagramError as exc:
+        raise MoveError(f"{error}: {exc}") from exc
+    attrs, old_to_new, fresh = _attrs_from_map(
+        d, tr, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
+    )
+    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
 
 
 def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
@@ -103,20 +80,13 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
     if not (0 <= i0 <= i1 <= len(d.events)):
         raise MoveError(f"event range [{i0}, {i1}) outside the word")
     events = d.events[:i0] + tuple(new_events) + d.events[i1:]
-    out = FrontDiagram(
-        name=name or d.name,
-        spin=d.spin,
-        left_count=d.left_count,
-        events=events,
-        attrs=(),
-    )
+    error = "rewrite produces an invalid word"
     try:
-        new_trace = trace_components(out)
-    except DiagramError as exc:
-        raise MoveError(f"rewrite produces an invalid word: {exc}") from exc
-
-    old_counts = strand_counts(d.events, d.left_count)
-    new_counts = new_trace.counts
+        new_counts = strand_counts(events, d.left_count)
+    except ValidationError as exc:
+        raise MoveError(f"{error}: {exc}") from exc
+    tr = trace_components(d)
+    old_counts = tr.counts
     shift = len(new_events) - (i1 - i0)
     if new_counts[i0] != old_counts[i0] or new_counts[i1 + shift] != old_counts[i1]:
         raise MoveError("rewrite does not preserve the window boundary")
@@ -128,10 +98,9 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
     for g in range(i1, len(d.events) + 1):
         for s in range(1, old_counts[g] + 1):
             seg_map[(g, s)] = (g + shift, s)
-    attrs, old_to_new, fresh = _attrs_from_map(
-        d, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
+    return _rebuild(
+        d, tr, events, seg_map, error, merge=merge, fresh_attr=fresh_attr, name=name
     )
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
 
 
 def erase_components(d, cids, name=None):
@@ -142,70 +111,17 @@ def erase_components(d, cids, name=None):
     """
     tr = trace_components(d)
     dead = set(cids)
-    for (g, s), c in tr.seg_comp.items():
-        if g == 0 and c in dead:
+    for s in range(1, tr.counts[0] + 1):
+        c = tr.seg_comp[(0, s)]
+        if c in dead:
             raise MoveError(f"component {c} is open; only closed components erase")
-
-    counts = tr.counts
-    erased = set()  # current slot numbers holding erased strands
-    new_events = []
-    seg_map = {}
-    for s in range(1, counts[0] + 1):
-        seg_map[(0, s)] = (0, s)
-
     for i, ev in enumerate(d.events):
-        gap = i + 1
-        if ev.kind == "L":
-            keep = tr.seg_comp[(gap, ev.pos)] not in dead
-        elif ev.kind == "R":
-            lower_dead = ev.pos in erased
-            upper_dead = (ev.pos + 1) in erased
-            if lower_dead != upper_dead:
-                raise MoveError("erased strands interleave a kept cusp")
-            keep = not lower_dead
-        else:
-            lower_dead = ev.pos in erased
-            upper_dead = (ev.pos + 1) in erased
-            if lower_dead != upper_dead:
-                raise MoveError(
-                    "erased component crosses a kept component (interleaved)"
-                )
-            keep = not lower_dead
-
-        if keep:
-            below = sum(1 for s in erased if s < ev.pos)
-            new_events.append(Event(ev.kind, ev.pos - below))
-            if ev.kind == "L":
-                erased = {s + 2 if s >= ev.pos else s for s in erased}
-            elif ev.kind == "R":
-                erased = {s - 2 if s > ev.pos + 1 else s for s in erased}
-        else:
-            if ev.kind == "L":
-                erased = {s + 2 if s >= ev.pos else s for s in erased}
-                erased.update({ev.pos, ev.pos + 1})
-            elif ev.kind == "R":
-                erased.discard(ev.pos)
-                erased.discard(ev.pos + 1)
-                erased = {s - 2 if s > ev.pos + 1 else s for s in erased}
-        live = sorted(set(range(1, counts[gap] + 1)) - erased)
-        for new_s, old_s in enumerate(live, start=1):
-            seg_map[(gap, old_s)] = (len(new_events), new_s)
-
-    out = FrontDiagram(
-        name=name or d.name,
-        spin=d.spin,
-        left_count=d.left_count,
-        events=tuple(new_events),
-        attrs=(),
-    )
-    new_trace = trace_components(out)
-    seg_map = {
-        old: new for old, new in seg_map.items() if tr.seg_comp[old] not in dead
-    }
-    attrs, old_to_new, fresh = _attrs_from_map(d, new_trace, seg_map)
-    if fresh:
-        raise MoveError("erasure created components out of nothing")
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+        if ev.kind == "X" and (tr.seg_comp[(i, ev.pos)] in dead) != (
+            tr.seg_comp[(i, ev.pos + 1)] in dead
+        ):
+            raise MoveError("erased component crosses a kept component (interleaved)")
+    segs = {seg for seg, c in tr.seg_comp.items() if c in dead}
+    return _erase_segments(d, tr, segs, name)
 
 
 def erase_segments(d, segs, name=None):
@@ -215,7 +131,11 @@ def erase_segments(d, segs, name=None):
     (the outside strand runs straight through); cusps must join two circuit
     strands or two outside strands.
     """
-    tr = trace_components(d)
+    return _erase_segments(d, trace_components(d), segs, name)
+
+
+def _erase_segments(d, tr, segs, name):
+    """:func:`erase_segments` of ``d``, traced as ``tr``."""
     counts = tr.counts
     dead_by_gap = {}
     for (g, s) in segs:
@@ -251,22 +171,12 @@ def erase_segments(d, segs, name=None):
         for new_s, old_s in enumerate(live, start=1):
             seg_map[(gap, old_s)] = (len(new_events), new_s)
 
-    out = FrontDiagram(
-        name=name or d.name,
-        spin=d.spin,
-        left_count=d.left_count,
-        events=tuple(new_events),
-        attrs=(),
+    rw = _rebuild(
+        d, tr, new_events, seg_map, "circuit erasure left an invalid word", name=name
     )
-    try:
-        new_trace = trace_components(out)
-    except DiagramError as exc:
-        raise MoveError(f"circuit erasure left an invalid word: {exc}") from exc
-    seg_map = {old: new for old, new in seg_map.items() if old not in segs}
-    attrs, old_to_new, fresh = _attrs_from_map(d, new_trace, seg_map)
-    if fresh:
+    if rw.fresh:
         raise MoveError("circuit erasure created components out of nothing")
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return rw
 
 
 def double_component(d, cid, side, name=None):
@@ -348,30 +258,12 @@ def double_component(d, cid, side, name=None):
         for s in range(1, counts[gap] + 1):
             seg_map[(gap, s)] = (gap_map[gap], mg[s])
 
-    out = FrontDiagram(
-        name=name or d.name,
-        spin=d.spin,
-        left_count=d.left_count,
-        events=tuple(new_events),
-        attrs=(),
+    rw = _rebuild(
+        d, tr, new_events, seg_map, "push-off produced an invalid word", name=name
     )
-    try:
-        new_trace = trace_components(out)
-    except DiagramError as exc:
-        raise MoveError(f"push-off produced an invalid word: {exc}") from exc
-    attrs, old_to_new, fresh = _attrs_from_map(d, new_trace, seg_map)
-    if len(fresh) != 1:
+    if len(rw.fresh) != 1:
         raise MoveError("push-off did not create exactly one companion")
-    rw = Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
-    return rw, fresh[0], gap_map
-
-
-def mirror_events(events):
-    """Mirror a block: reverse order, swap cusp kinds, keep positions."""
-    return tuple(
-        Event("L" if e.kind == "R" else "R" if e.kind == "L" else "X", e.pos)
-        for e in reversed(events)
-    )
+    return rw, rw.fresh[0], gap_map
 
 
 # ---------------------------------------------------------------------------
@@ -458,45 +350,21 @@ def exchange_canonical(d):
                 changed = True
         if not changed:
             break
-    out = FrontDiagram(
-        name=d.name,
-        spin=d.spin,
-        left_count=d.left_count,
-        events=tuple(events),
-        attrs=(),
-    )
     if not d.attrs:
-        return out
-    old_tr = trace_components(d)
-    new_tr = trace_components(out)
-    old_of_new = {}
-    for nc in new_tr.components:
-        oc = None
-        for (g, s, _dir) in nc.path:
-            if g == 0:
-                oc = old_tr.seg_comp[(0, s)]
-                break
-        if oc is None:
-            # locate via a cusp event: the born pair of new event j corresponds
-            # to the born pair of original event perm[j].
-            for j, ev in enumerate(events):
-                if ev.kind != "L":
-                    continue
-                if new_tr.seg_comp[(j + 1, ev.pos)] != nc.cid:
-                    continue
-                orig = d.events[perm[j]]
-                oc = old_tr.seg_comp[(perm[j] + 1, orig.pos)]
-                break
-        if oc is None:
-            raise MoveError("exchange canonicalization lost a component")
-        old_of_new[nc.cid] = oc
-    new_of_old = {v: k for k, v in old_of_new.items()}
-    attrs = []
-    for nc in new_tr.components:
-        a = d.attrs[old_of_new[nc.cid] - 1]
-        links = tuple(new_of_old[t] for t in a.dashed_links if t in new_of_old)
-        attrs.append(replace(a, dashed_links=links))
-    return replace(out, attrs=tuple(attrs))
+        return replace(d, events=tuple(events))
+    # Left-wall segments stay put, and the lower strand born at new event j
+    # is the one born at old event perm[j]: every component has one or the
+    # other.
+    seg_map = {(0, s): (0, s) for s in range(1, d.left_count + 1)}
+    for j, ev in enumerate(events):
+        if ev.kind == "L":
+            seg_map[(perm[j] + 1, d.events[perm[j]].pos)] = (j + 1, ev.pos)
+    rw = _rebuild(
+        d, trace_components(d), events, seg_map, "exchange produced an invalid word"
+    )
+    if rw.fresh:
+        raise MoveError("exchange canonicalization lost a component")
+    return rw.diagram
 
 
 def same_diagram(a, b, ignore_labels=True, ignore_names=True):

@@ -2,7 +2,13 @@ import re
 
 import pytest
 
-from kirbyfront.diagram import COEFF_MINUS, serialize_front
+from kirbyfront.diagram import (
+    COEFF_MINUS,
+    Event,
+    FrontDiagram,
+    default_attrs,
+    serialize_front,
+)
 from kirbyfront.families import mazur_diagram, stabilized_unknot, unknot
 from kirbyfront.scripts import (
     MoveScript,
@@ -115,3 +121,28 @@ def test_bundled_data_files_replay():
 def test_parse_script_rejects_malformed_steps(line, message):
     with pytest.raises(MoveError, match=re.escape(message)):
         parse_script(line + "\n", initial=unknot())
+
+
+@pytest.mark.parametrize(
+    "asserts, message",
+    [
+        ("events=x", "step 1: assertion events=x: 'x' is not an integer"),
+        ("tb:x=1", "step 1: assertion tb:x=1: 'x' is not an integer"),
+        ("rot:1=y", "step 1: assertion rot:1=y: 'y' is not an integer"),
+        ("tb:9=1", "step 1: no component 9"),
+        ("tb:0=-3", "step 1: no component 0"),
+    ],
+)
+def test_malformed_assertions_fail_as_script_errors(asserts, message):
+    text = f"stabilize site=1..1/1..1 comp=1 assert {asserts}\n"
+    script = parse_script(text, initial=unknot(coefficient=COEFF_MINUS))
+    with pytest.raises(ScriptError, match=re.escape(message)) as err:
+        run_script(script)
+    assert err.value.step == 1
+
+
+def test_invariant_assertion_on_spun_diagram_is_a_script_error():
+    spun = default_attrs(FrontDiagram(spin=1, events=(Event("L", 1), Event("R", 1))))
+    script = parse_script("normalize assert tb:1=-1\n", initial=spun)
+    with pytest.raises(ScriptError, match="step 1: classical invariants are defined"):
+        run_script(script)

@@ -1,16 +1,24 @@
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirbyfront.diagram import (
+    COEFF_MINUS,
+    COEFF_NONE,
+    COEFF_PLUS,
+    ComponentAttr,
+    DiagramError,
     Event,
     FrontDiagram,
     check_spin_symmetry,
     default_attrs,
     mirror,
     parse_front,
+    right_count,
     serialize_front,
     strand_counts,
     trace_components,
@@ -19,13 +27,19 @@ from kirbyfront.diagram import (
 from kirbyfront.invariants import classical_invariants, crossing_data, handle_census
 from kirbyfront.moves import normalize
 from kirbyfront.wordops import (
+    _RANK,
     MoveError,
+    Rewrite,
+    _try_swap,
     double_component,
     erase_components,
+    erase_segments,
     exchange_canonical,
     mirror_events,
     splice,
 )
+
+from conftest import random_diagram
 
 
 @st.composite
@@ -173,3 +187,504 @@ def test_erase_components_plain():
     )
     out = erase_components(d, [2]).diagram
     assert out.events == (Event("L", 1), Event("R", 1))
+
+
+# ---------------------------------------------------------------------------
+# The rewrites as they were before they shared one rewrite tail and one
+# attribute transport, kept as oracles.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_attrs_from_map(d, new_trace, seg_map, merge=None, fresh_attr=None):
+    old_trace = trace_components(d)
+    ncomp = len(new_trace.components)
+    sources = [set() for _ in range(ncomp)]
+    for old_seg, new_seg in seg_map.items():
+        oc = old_trace.seg_comp[old_seg]
+        nc = new_trace.seg_comp[new_seg]
+        sources[nc - 1].add(oc)
+
+    old_to_new = {}
+    for nc0, src in enumerate(sources):
+        for oc in src:
+            old_to_new[oc] = nc0 + 1
+
+    def old_attr(oc):
+        return d.attrs[oc - 1] if d.attrs else ComponentAttr()
+
+    attrs = []
+    fresh = []
+    for nc0, src in enumerate(sources):
+        if not src:
+            fresh.append(nc0 + 1)
+            attrs.append(fresh_attr or ComponentAttr(label=""))
+        elif len(src) == 1:
+            attrs.append(old_attr(next(iter(src))))
+        else:
+            if merge is None:
+                raise MoveError(
+                    f"rewrite merged components {sorted(src)} without a merge rule"
+                )
+            attrs.append(merge(sorted(src), [old_attr(i) for i in sorted(src)]))
+    fixed = []
+    for a in attrs:
+        links = tuple(old_to_new[t] for t in a.dashed_links if t in old_to_new)
+        fixed.append(replace(a, dashed_links=links))
+    return tuple(fixed), old_to_new, fresh
+
+
+def _oracle_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
+    if not (0 <= i0 <= i1 <= len(d.events)):
+        raise MoveError(f"event range [{i0}, {i1}) outside the word")
+    events = d.events[:i0] + tuple(new_events) + d.events[i1:]
+    out = FrontDiagram(
+        name=name or d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=events,
+        attrs=(),
+    )
+    try:
+        new_trace = trace_components(out)
+    except DiagramError as exc:
+        raise MoveError(f"rewrite produces an invalid word: {exc}") from exc
+
+    old_counts = strand_counts(d.events, d.left_count)
+    new_counts = new_trace.counts
+    shift = len(new_events) - (i1 - i0)
+    if new_counts[i0] != old_counts[i0] or new_counts[i1 + shift] != old_counts[i1]:
+        raise MoveError("rewrite does not preserve the window boundary")
+
+    seg_map = {}
+    for g in range(0, i0 + 1):
+        for s in range(1, old_counts[g] + 1):
+            seg_map[(g, s)] = (g, s)
+    for g in range(i1, len(d.events) + 1):
+        for s in range(1, old_counts[g] + 1):
+            seg_map[(g, s)] = (g + shift, s)
+    attrs, old_to_new, fresh = _oracle_attrs_from_map(
+        d, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
+    )
+    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _oracle_erase_components(d, cids, name=None):
+    tr = trace_components(d)
+    dead = set(cids)
+    for (g, s), c in tr.seg_comp.items():
+        if g == 0 and c in dead:
+            raise MoveError(f"component {c} is open; only closed components erase")
+
+    counts = tr.counts
+    erased = set()  # current slot numbers holding erased strands
+    new_events = []
+    seg_map = {}
+    for s in range(1, counts[0] + 1):
+        seg_map[(0, s)] = (0, s)
+
+    for i, ev in enumerate(d.events):
+        gap = i + 1
+        if ev.kind == "L":
+            keep = tr.seg_comp[(gap, ev.pos)] not in dead
+        elif ev.kind == "R":
+            lower_dead = ev.pos in erased
+            upper_dead = (ev.pos + 1) in erased
+            if lower_dead != upper_dead:
+                raise MoveError("erased strands interleave a kept cusp")
+            keep = not lower_dead
+        else:
+            lower_dead = ev.pos in erased
+            upper_dead = (ev.pos + 1) in erased
+            if lower_dead != upper_dead:
+                raise MoveError(
+                    "erased component crosses a kept component (interleaved)"
+                )
+            keep = not lower_dead
+
+        if keep:
+            below = sum(1 for s in erased if s < ev.pos)
+            new_events.append(Event(ev.kind, ev.pos - below))
+            if ev.kind == "L":
+                erased = {s + 2 if s >= ev.pos else s for s in erased}
+            elif ev.kind == "R":
+                erased = {s - 2 if s > ev.pos + 1 else s for s in erased}
+        else:
+            if ev.kind == "L":
+                erased = {s + 2 if s >= ev.pos else s for s in erased}
+                erased.update({ev.pos, ev.pos + 1})
+            elif ev.kind == "R":
+                erased.discard(ev.pos)
+                erased.discard(ev.pos + 1)
+                erased = {s - 2 if s > ev.pos + 1 else s for s in erased}
+        live = sorted(set(range(1, counts[gap] + 1)) - erased)
+        for new_s, old_s in enumerate(live, start=1):
+            seg_map[(gap, old_s)] = (len(new_events), new_s)
+
+    out = FrontDiagram(
+        name=name or d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=tuple(new_events),
+        attrs=(),
+    )
+    new_trace = trace_components(out)
+    seg_map = {
+        old: new for old, new in seg_map.items() if tr.seg_comp[old] not in dead
+    }
+    attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
+    if fresh:
+        raise MoveError("erasure created components out of nothing")
+    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _oracle_erase_segments(d, segs, name=None):
+    tr = trace_components(d)
+    counts = tr.counts
+    dead_by_gap = {}
+    for (g, s) in segs:
+        dead_by_gap.setdefault(g, set()).add(s)
+
+    new_events = []
+    seg_map = {}
+    live0 = sorted(set(range(1, counts[0] + 1)) - dead_by_gap.get(0, set()))
+    for new_s, old_s in enumerate(live0, start=1):
+        seg_map[(0, old_s)] = (0, new_s)
+
+    for i, ev in enumerate(d.events):
+        gap = i + 1
+        before_dead = dead_by_gap.get(i, set())
+        after_dead = dead_by_gap.get(gap, set())
+        if ev.kind == "L":
+            in_circ = (ev.pos in after_dead, (ev.pos + 1) in after_dead)
+            if in_circ[0] != in_circ[1]:
+                raise MoveError("cusp joins a circuit strand to an outside strand")
+            keep = not in_circ[0]
+        elif ev.kind == "R":
+            in_circ = (ev.pos in before_dead, (ev.pos + 1) in before_dead)
+            if in_circ[0] != in_circ[1]:
+                raise MoveError("cusp joins a circuit strand to an outside strand")
+            keep = not in_circ[0]
+        else:
+            keep = ev.pos not in before_dead and (ev.pos + 1) not in before_dead
+
+        if keep:
+            below = sum(1 for s in before_dead if s < ev.pos)
+            new_events.append(Event(ev.kind, ev.pos - below))
+        live = sorted(set(range(1, counts[gap] + 1)) - after_dead)
+        for new_s, old_s in enumerate(live, start=1):
+            seg_map[(gap, old_s)] = (len(new_events), new_s)
+
+    out = FrontDiagram(
+        name=name or d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=tuple(new_events),
+        attrs=(),
+    )
+    try:
+        new_trace = trace_components(out)
+    except DiagramError as exc:
+        raise MoveError(f"circuit erasure left an invalid word: {exc}") from exc
+    seg_map = {old: new for old, new in seg_map.items() if old not in segs}
+    attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
+    if fresh:
+        raise MoveError("circuit erasure created components out of nothing")
+    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _oracle_double_component(d, cid, side, name=None):
+    if side not in ("below", "above"):
+        raise MoveError(f"bad push-off side {side!r}")
+    tr = trace_components(d)
+    counts = tr.counts
+    if not tr.components[cid - 1].closed:
+        raise MoveError("only closed components admit a push-off")
+
+    def c_slots(gap):
+        return [s for s in range(1, counts[gap] + 1) if tr.seg_comp.get((gap, s)) == cid]
+
+    def slot_map(gap):
+        slots = set(c_slots(gap))
+        m = {}
+        for s in range(1, counts[gap] + 1):
+            below = sum(1 for t in slots if t < s)
+            mine = 1 if (s in slots and side == "below") else 0
+            m[s] = s + below + mine
+        return m
+
+    new_events = []
+    gap_map = {0: 0}
+    seg_map = {}
+    m0 = slot_map(0)
+    for s in range(1, counts[0] + 1):
+        seg_map[(0, s)] = (0, m0[s])
+
+    for i, ev in enumerate(d.events):
+        gap = i + 1
+        m = slot_map(i)
+        slots_i = set(c_slots(i))
+        p = ev.pos
+        below_p = sum(1 for t in slots_i if t < p)
+        if ev.kind == "L":
+            if tr.seg_comp[(gap, p)] == cid:
+                q = p + below_p
+                new_events += [Event("L", q), Event("L", q), Event("X", q + 1)]
+            else:
+                new_events.append(Event("L", p + below_p))
+        elif ev.kind == "R":
+            if p in slots_i:
+                q = m[p] - (1 if side == "below" else 0)
+                new_events += [Event("X", q + 1), Event("R", q), Event("R", q)]
+            else:
+                new_events.append(Event("R", m[p]))
+        else:
+            lo_c, hi_c = p in slots_i, (p + 1) in slots_i
+            if lo_c and hi_c:
+                q = m[p] - (1 if side == "below" else 0)
+                new_events += [
+                    Event("X", q + 1),
+                    Event("X", q),
+                    Event("X", q + 2),
+                    Event("X", q + 1),
+                ]
+            elif lo_c:
+                q = m[p] - (1 if side == "below" else 0)
+                new_events += [Event("X", q + 1), Event("X", q)]
+            elif hi_c:
+                q = m[p]
+                new_events += [Event("X", q), Event("X", q + 1)]
+            else:
+                new_events.append(Event("X", m[p]))
+        gap_map[gap] = len(new_events)
+        mg = slot_map(gap)
+        for s in range(1, counts[gap] + 1):
+            seg_map[(gap, s)] = (gap_map[gap], mg[s])
+
+    out = FrontDiagram(
+        name=name or d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=tuple(new_events),
+        attrs=(),
+    )
+    try:
+        new_trace = trace_components(out)
+    except DiagramError as exc:
+        raise MoveError(f"push-off produced an invalid word: {exc}") from exc
+    attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
+    if len(fresh) != 1:
+        raise MoveError("push-off did not create exactly one companion")
+    rw = Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return rw, fresh[0], gap_map
+
+
+def _oracle_exchange_canonical(d):
+    events = list(d.events)
+    perm = list(range(len(events)))  # perm[i] = original index of events[i]
+    n = len(events)
+    for _ in range(n * n + 1):
+        changed = False
+        for i in range(len(events) - 1):
+            a, b = events[i], events[i + 1]
+            swapped = _try_swap(a, b)
+            if swapped is None:
+                continue
+            b2, a2 = swapped
+            if (b2.pos, _RANK[b2.kind]) < (a.pos, _RANK[a.kind]):
+                events[i], events[i + 1] = b2, a2
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                changed = True
+        if not changed:
+            break
+    out = FrontDiagram(
+        name=d.name,
+        spin=d.spin,
+        left_count=d.left_count,
+        events=tuple(events),
+        attrs=(),
+    )
+    if not d.attrs:
+        return out
+    old_tr = trace_components(d)
+    new_tr = trace_components(out)
+    old_of_new = {}
+    for nc in new_tr.components:
+        oc = None
+        for (g, s, _dir) in nc.path:
+            if g == 0:
+                oc = old_tr.seg_comp[(0, s)]
+                break
+        if oc is None:
+            # locate via a cusp event: the born pair of new event j corresponds
+            # to the born pair of original event perm[j].
+            for j, ev in enumerate(events):
+                if ev.kind != "L":
+                    continue
+                if new_tr.seg_comp[(j + 1, ev.pos)] != nc.cid:
+                    continue
+                orig = d.events[perm[j]]
+                oc = old_tr.seg_comp[(perm[j] + 1, orig.pos)]
+                break
+        if oc is None:
+            raise MoveError("exchange canonicalization lost a component")
+        old_of_new[nc.cid] = oc
+    new_of_old = {v: k for k, v in old_of_new.items()}
+    attrs = []
+    for nc in new_tr.components:
+        a = d.attrs[old_of_new[nc.cid] - 1]
+        links = tuple(new_of_old[t] for t in a.dashed_links if t in new_of_old)
+        attrs.append(replace(a, dashed_links=links))
+    return replace(out, attrs=tuple(attrs))
+
+
+def _oracle_mirror(d):
+    rev = tuple(
+        Event("L" if e.kind == "R" else "R" if e.kind == "L" else "X", e.pos)
+        for e in reversed(d.events)
+    )
+    rc = right_count(d)
+    nev = len(d.events)
+    mirrored = FrontDiagram(
+        name=d.name, spin=d.spin, left_count=rc, events=rev, attrs=()
+    )
+    if not d.attrs:
+        return mirrored
+    # Transport attributes through the segment correspondence (g, s) -> (nev - g, s).
+    old = trace_components(d)
+    new = trace_components(mirrored)
+    attrs = [None] * len(new.components)
+    for (g, s), cid in old.seg_comp.items():
+        ncid = new.seg_comp[(nev - g, s)]
+        attrs[ncid - 1] = d.attrs[cid - 1]
+    remap = {}
+    for (g, s), cid in old.seg_comp.items():
+        remap[cid] = new.seg_comp[(nev - g, s)]
+    fixed = tuple(
+        replace(a, dashed_links=tuple(remap[t] for t in a.dashed_links))
+        for a in attrs
+    )
+    return replace(mirrored, attrs=fixed)
+
+
+def _decorate(rng, d):
+    """Random coefficients, nodes, orientations and (valid) dashed links on
+    every traced component of d."""
+    d = default_attrs(replace(d, attrs=()))
+    coeffs = [rng.choice((COEFF_NONE, COEFF_PLUS, COEFF_MINUS)) for _ in d.attrs]
+    minus = [i + 1 for i, c in enumerate(coeffs) if c == COEFF_MINUS]
+    attrs = [
+        replace(
+            a,
+            coefficient=coeffs[i],
+            node_plus=rng.random() < 0.2,
+            dashed_links=tuple(t for t in minus if t != i + 1 and rng.random() < 0.4),
+            orientation=rng.choice((1, -1)),
+        )
+        for i, a in enumerate(d.attrs)
+    ]
+    return replace(d, attrs=tuple(attrs))
+
+
+def _corpus(rng, size):
+    """Seeded closed diagrams (spin 0 and 1) and relative cuts of them:
+    prefixes, suffixes and middles, so open components run wall to wall,
+    left wall to right wall and right wall to right wall."""
+    out = []
+    for k in range(size):
+        d = random_diagram(rng, spin=1 if k % 5 == 0 else 0, max_events=8 + k % 14)
+        out.append(_decorate(rng, d))
+        if d.spin:
+            continue
+        counts = strand_counts(d.events, 0)
+        n = len(d.events)
+        g0, g1 = sorted(rng.sample(range(n + 1), 2))
+        for lo, hi in ((g0, n), (0, g1), (g0, g1)):
+            cut = FrontDiagram(
+                name="cut", left_count=counts[lo], events=d.events[lo:hi]
+            )
+            out.append(_decorate(rng, cut))
+    # a few undecorated words take the default-attribute path
+    out += [replace(d, attrs=()) for d in out[:20]]
+    return out
+
+
+def _splices(rng, d, n):
+    """Random windows and replacements: births, clasps, saddles (which may
+    merge or split components), deletions, random words, reversed or
+    outside ranges and the identity."""
+    counts = strand_counts(d.events, d.left_count)
+    nev = len(d.events)
+    for _ in range(n):
+        i0 = rng.randrange(nev + 1)
+        i1 = rng.randrange(i0, min(nev, i0 + 3) + 1)
+        top = counts[i0]
+        s = rng.randrange(1, top + 2)
+        pick = rng.randrange(6)
+        if pick == 0:
+            i1, evs = i0, (Event("L", s), Event("R", s))
+        elif pick == 1:
+            i1, evs = i0, (Event("X", s), Event("X", s))
+        elif pick == 2:
+            i1, evs = i0, (Event("R", s), Event("L", s))
+        elif pick == 3:
+            evs = ()
+        elif pick == 4:
+            evs = tuple(
+                Event(rng.choice("LXR"), rng.randrange(1, top + 3))
+                for _ in range(rng.randrange(4))
+            )
+        else:
+            i0, i1, evs = rng.choice(
+                ((i1, i0, ()), (0, nev + 1, ()), (i0, i1, d.events[i0:i1]))
+            )
+        merge = rng.choice((None, lambda cids, attrs: attrs[-1]))
+        fresh_attr = rng.choice((None, ComponentAttr(label="new", coefficient=1)))
+        yield i0, i1, evs, merge, fresh_attr
+
+
+def _result(fn, *args, **kwargs):
+    """What a rewrite returned, or the type and message of what it raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 -- errors are compared too
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        rw, companion, gap_map = out
+        return rw.diagram, rw.old_to_new, rw.fresh, companion, gap_map
+    if isinstance(out, Rewrite):
+        return out.diagram, out.old_to_new, out.fresh
+    return out
+
+
+def test_rewrites_match_parent_oracles():
+    rng = random.Random(20260)
+    corpus = _corpus(rng, 40)
+    cases = errors = 0
+    for d in corpus:
+        pairs = [
+            (mirror, _oracle_mirror, (d,)),
+            (exchange_canonical, _oracle_exchange_canonical, (d,)),
+        ]
+        tr = trace_components(d)
+        cids = [c.cid for c in tr.components]
+        for k in (1, 2, 3):
+            for sub in combinations(cids, k):
+                pairs.append((erase_components, _oracle_erase_components, (d, sub)))
+        pairs.append((erase_components, _oracle_erase_components, (d, [0])))
+        for comp in tr.components:
+            segs = set(comp.segments)
+            pairs.append((erase_segments, _oracle_erase_segments, (d, segs)))
+            for side in ("below", "above"):
+                pairs.append(
+                    (double_component, _oracle_double_component, (d, comp.cid, side))
+                )
+        for i0, i1, evs, merge, fresh_attr in _splices(rng, d, 10):
+            args = (d, i0, i1, evs, merge, fresh_attr)
+            pairs.append((splice, _oracle_splice, args))
+        for new, old, args in pairs:
+            got = _result(new, *args)
+            assert got == _result(old, *args), (new.__name__, args)
+            cases += 1
+            errors += isinstance(got, tuple) and isinstance(got[0], str)
+    assert cases > 4000 and errors > 1000
+
