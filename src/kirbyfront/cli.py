@@ -22,7 +22,6 @@ import json
 import sys
 
 from .diagram import ParseError, parse_front, serialize_front, validate_diagram
-from .framing import framing_map_check
 from .invariants import (
     InvariantError,
     all_classical_invariants,
@@ -206,7 +205,15 @@ def cmd_verify(args):
 
 
 def cmd_framing_check(args):
-    report = framing_map_check(args.n, samples=args.samples, tol=args.tol, seed=args.seed)
+    # imported here so that no other command pays for importing numpy
+    from .framing import framing_map_check
+
+    try:
+        report = framing_map_check(
+            args.n, samples=args.samples, tol=args.tol, seed=args.seed
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_PRECONDITION)
     out = report.as_dict()
     if args.json:
         json.dump(out, sys.stdout, indent=2, sort_keys=True)

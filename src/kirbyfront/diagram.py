@@ -201,39 +201,60 @@ class TracedComponent:
 
 @dataclass
 class Trace:
+    """The component structure of one word.
+
+    A move traces its input once and hands that trace by reference to the
+    rewrites it calls, which hand back the trace of their output: a trace
+    is shared, so it must not be mutated.
+    """
+
     seg_comp: dict  # (gap, slot) -> cid
     seg_dir: dict  # (gap, slot) -> +1 / -1 traversal direction
     components: list  # TracedComponent, index cid-1
     counts: list  # strand count per gap
 
 
-def _slot_maps(events, counts):
-    """For each event i return (fwd, bwd) slot maps across it.
+def _walk(kinds, poss, nev, gap, slot, direction, home):
+    """Segments from (gap, slot) heading ``direction`` as (gap, slot,
+    direction) triples, and whether the walk closed up.
 
-    fwd maps a slot in gap i-1 to its slot in gap i (None if capped);
-    bwd is the inverse (None if born at the event).
+    It stops at a wall, or when heading left it reaches the left cusp that
+    closes the loop at gap ``home`` (the walk started on that cusp's lower
+    strand).  Turning around at a cusp flips the direction.
     """
-    maps = []
-    for i, ev in enumerate(events):
-        before = counts[i]
-        fwd = {}
-        if ev.kind == "L":
-            for s in range(1, before + 1):
-                fwd[s] = s if s < ev.pos else s + 2
-        elif ev.kind == "R":
-            for s in range(1, before + 1):
-                if s in (ev.pos, ev.pos + 1):
-                    fwd[s] = None
-                else:
-                    fwd[s] = s if s < ev.pos else s - 2
+    path = [(gap, slot, direction)]
+    while True:
+        if direction > 0:
+            if gap == nev:
+                return path, False
+            i = gap
+            nxt = gap + 1
         else:
-            for s in range(1, before + 1):
-                fwd[s] = s
-            fwd[ev.pos] = ev.pos + 1
-            fwd[ev.pos + 1] = ev.pos
-        bwd = {v: k for k, v in fwd.items() if v is not None}
-        maps.append((fwd, bwd))
-    return maps
+            if gap == 0:
+                return path, False
+            i = nxt = gap - 1
+        kind, p = kinds[i], poss[i]
+        if kind == "X":
+            if slot == p:
+                slot += 1
+            elif slot == p + 1:
+                slot = p
+            gap = nxt
+        elif (kind == "L") == (direction > 0):  # a new pair opens at p
+            if slot >= p:
+                slot += 2
+            gap = nxt
+        elif slot < p:
+            gap = nxt
+        elif slot > p + 1:
+            slot -= 2
+            gap = nxt
+        elif direction < 0 and gap == home:
+            return path, True
+        else:  # the cusp turns the walk back along the partner strand
+            slot = 2 * p + 1 - slot
+            direction = -direction
+        path.append((gap, slot, direction))
 
 
 def trace_components(d):
@@ -241,84 +262,39 @@ def trace_components(d):
 
     Deterministic: components are numbered 1..N by their first-touched
     segment, ordered by (gap, slot); each closed component is traversed
-    starting at that segment heading rightward.
+    starting at that segment heading rightward, each open one from wall to
+    wall through that segment heading rightward.
     """
-    counts = strand_counts(d.events, d.left_count)
-    nev = len(d.events)
-    maps = _slot_maps(d.events, counts)
-
-    all_segs = [(g, s) for g in range(nev + 1) for s in range(1, counts[g] + 1)]
+    events = d.events
+    counts = strand_counts(events, d.left_count)
+    nev = len(events)
+    kinds = [e.kind for e in events]
+    poss = [e.pos for e in events]
     seg_comp = {}
     seg_dir = {}
     components = []
-
-    def step(gap, slot, direction):
-        """Advance one segment in the given direction.
-
-        Returns (gap, slot, direction) of the next segment, or None at a
-        wall.  Turning around at a cusp flips the direction.
-        """
-        if direction > 0:
-            if gap == nev:
-                return None
-            ev = d.events[gap]
-            fwd, _ = maps[gap]
-            nxt = fwd[slot]
-            if nxt is None:
-                partner = ev.pos + 1 if slot == ev.pos else ev.pos
-                return (gap, partner, -1)
-            return (gap + 1, nxt, 1)
-        else:
-            if gap == 0:
-                return None
-            ev = d.events[gap - 1]
-            _, bwd = maps[gap - 1]
-            prev = bwd.get(slot)
-            if prev is None:
-                partner = ev.pos + 1 if slot == ev.pos else ev.pos
-                return (gap, partner, 1)
-            return (gap - 1, prev, -1)
-
-    def walk(gap, slot, direction, comp):
-        while True:
-            key = (gap, slot)
-            if key in seg_comp:
-                return
-            seg_comp[key] = comp.cid
-            seg_dir[key] = direction
-            comp.segments.add(key)
-            comp.path.append((gap, slot, direction))
-            nxt = step(gap, slot, direction)
-            if nxt is None:
-                return
-            gap, slot, direction = nxt
-
-    for seg in all_segs:
-        if seg in seg_comp:
+    # A component's first-touched segment is at the left wall or is the
+    # lower strand born at its leftmost cusp.
+    starts = [(0, s) for s in range(1, d.left_count + 1)]
+    starts += [(i + 1, poss[i]) for i in range(nev) if kinds[i] == "L"]
+    for start in starts:
+        if start in seg_comp:
             continue
+        gap, slot = start
+        path, closed = _walk(kinds, poss, nev, gap, slot, 1, gap)
+        if not closed:
+            back, _ = _walk(kinds, poss, nev, gap, slot, -1, -1)
+            path = [(g, s, -dr) for g, s, dr in reversed(back[1:])] + path
         cid = len(components) + 1
-        comp = TracedComponent(cid=cid, closed=False)
-        components.append(comp)
-        # Walk leftward first (without recording) to find an endpoint, so
-        # open components are traversed wall to wall.
-        g, s, dr = seg[0], seg[1], 1
-        seen = set()
-        while True:
-            back = step(g, s, -dr)
-            if back is None:
-                break
-            bg, bs, bdr = back
-            if (bg, bs) == seg or (bg, bs) in seen:
-                # closed component: start at the canonical segment rightward
-                g, s, dr = seg[0], seg[1], 1
-                comp.closed = True
-                break
-            seen.add((bg, bs))
-            g, s, dr = bg, bs, -bdr
-        walk(g, s, dr, comp)
-
-    trace = Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
-    return trace
+        gaps, slots, dirs = zip(*path)
+        # built from one dict, so each segment key is hashed once
+        comp_dir = dict(zip(zip(gaps, slots), dirs))
+        seg_dir.update(comp_dir)
+        seg_comp.update(dict.fromkeys(comp_dir, cid))
+        components.append(
+            TracedComponent(cid=cid, closed=closed, path=path, segments=set(comp_dir))
+        )
+    return Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
 
 
 def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=None):

@@ -31,6 +31,7 @@ from .diagram import (
     DiagramError,
     Event,
     check_spin_symmetry,
+    strand_counts,
     trace_components,
 )
 from .invariants import handle_census
@@ -146,13 +147,18 @@ def _spin_windows(d, i0, i1, new_events):
     )
 
 
-def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
+def _spin_rewrite(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
+    """:func:`splice` at the site and, on a spun diagram, at its mirror
+    site: the :class:`MoveResult` and the trace of its diagram.  ``tr`` is
+    the trace of ``d``, or None; each later window reuses the trace the
+    splice before it returned."""
     windows = _spin_windows(d, i0, i1, new_events)
     cur = d
     old_to_new = None
     fresh_all = []
     for (a, b, evs) in windows:
-        rw = splice(cur, a, b, evs, merge=merge, fresh_attr=fresh_attr)
+        rw = splice(cur, a, b, evs, merge=merge, fresh_attr=fresh_attr, tr=tr)
+        tr = rw.trace
         if old_to_new is None:
             old_to_new = rw.old_to_new
         else:
@@ -165,7 +171,12 @@ def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
         fresh_all += rw.fresh
         cur = rw.diagram
     _check_spin(cur)
-    return MoveResult(cur, old_to_new, fresh_all)
+    return MoveResult(cur, old_to_new, fresh_all), tr
+
+
+def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
+    """The :class:`MoveResult` of :func:`_spin_rewrite`."""
+    return _spin_rewrite(d, i0, i1, new_events, merge, fresh_attr, tr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +195,7 @@ def clasp(d, site, direction="clasp"):
     s = site.s0
     if direction == "clasp":
         _require(site.e0 == site.e1, "clasp site is an insertion point")
-        counts = trace_components(d).counts
+        counts = strand_counts(d.events, d.left_count)
         _require(site.e0 <= len(d.events), "site beyond the word")
         _require(counts[site.e0] >= s + 1, "clasp needs two adjacent strands")
         return _spin_splice(d, site.e0, site.e0, (Event("X", s), Event("X", s)))
@@ -222,7 +233,7 @@ def stabilize(d, cid, site, direction="stabilize"):
             _strand_comp(tr, site.e0, s) == cid,
             f"strand {s} at gap {site.e0} is not component {cid}",
         )
-        return _spin_splice(d, site.e0, site.e0, _stab_template(s))
+        return _spin_splice(d, site.e0, site.e0, _stab_template(s), tr=tr)
     if direction == "destabilize":
         w = d.events[site.e0 : site.e0 + 4]
         _require(
@@ -233,7 +244,7 @@ def stabilize(d, cid, site, direction="stabilize"):
             _strand_comp(tr, site.e0, s) == cid,
             f"zigzag at the site does not belong to component {cid}",
         )
-        return _spin_splice(d, site.e0, site.e0 + 4, ())
+        return _spin_splice(d, site.e0, site.e0 + 4, (), tr=tr)
     raise MoveError(f"unknown stabilize direction {direction!r}")
 
 
@@ -296,7 +307,9 @@ def uplus(d, a, b, site):
         merged = _merge_union(cids, attrs)
         return replace(merged, orientation=attrs[idx].orientation)
 
-    return _spin_splice(d, site.e0, site.e0, _junction_for(d, site.e0, s), merge=merge)
+    return _spin_splice(
+        d, site.e0, site.e0, _junction_for(d, site.e0, s), merge=merge, tr=tr
+    )
 
 
 _SLIDE_VARIANTS = {
@@ -348,11 +361,10 @@ def handleslide(d, moving, over, variant, site):
     )
 
     push_side = "below" if side == "up" else "above"
-    rw, companion, gap_map = double_component(d, over, push_side)
-    d2 = rw.diagram
+    rw, companion, gap_map = double_component(d, over, push_side, tr=tr)
+    d2, tr2 = rw.diagram, rw.trace
     moving2 = rw.old_to_new[moving]
     gap = gap_map[site.e0]
-    tr2 = trace_components(d2)
     # locate the junction slot: moving strand with the companion right above
     if side == "up":
         candidates = [
@@ -377,7 +389,7 @@ def handleslide(d, moving, over, variant, site):
         keep = attrs[idx]
         return replace(merged, label=keep.label, orientation=keep.orientation)
 
-    res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge)
+    res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge, tr=tr2)
     res.old_to_new = {
         k: res.old_to_new[v] for k, v in rw.old_to_new.items() if v in res.old_to_new
     }
@@ -423,12 +435,11 @@ def _slide_back(d, moving, over, site):
     )
     before = handle_census(d).euler
     windows = _spin_windows(d, i, i + width, ())
-    res = _spin_splice(d, i, i + width, ())
+    res, tr2 = _spin_rewrite(d, i, i + width, (), tr=tr)
     d2 = res.diagram
     # removing the junction splits `moving`: one lane continues as the
     # surviving component, the other belongs to the freed parallel circuit
     i_final = i - sum(b - a for (a, b, _e) in windows if a < i)
-    tr2 = trace_components(d2)
     lane0 = _strand_comp(tr2, i_final, site.s0)
     lane1 = _strand_comp(tr2, i_final, site.s0 + 1)
     _require(lane0 != lane1, "removing the junction did not free a circuit")
@@ -462,7 +473,7 @@ def _slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, set(tr2.components[circuit - 1].segments))
+            rw = erase_segments(d2, tr2.components[circuit - 1].segments, tr=tr2)
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:
@@ -611,7 +622,7 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
         j == i + 1 and d.events[i].pos == d.events[j].pos,
         "the push-off crossings do not form the TB clasp",
     )
-    rw = erase_components(d, [n_handle, np1_handle])
+    rw = erase_components(d, [n_handle, np1_handle], tr=tr)
     _check_spin(rw.diagram)
     return MoveResult(rw.diagram, rw.old_to_new)
 
@@ -676,7 +687,7 @@ def birth_cancel_pair(d, site, direction="birth"):
             f"the -1 component passes over the unknot {len(mutual) // 2} times,"
             " not once",
         )
-        rw = erase_components(d, [plus, minus])
+        rw = erase_components(d, [plus, minus], tr=tr)
         _check_spin(rw.diagram)
         return MoveResult(rw.diagram, rw.old_to_new)
     raise MoveError(f"unknown birth/cancel direction {direction!r}")
@@ -777,6 +788,7 @@ def reidemeister(d, move, site, variant=1, direction="forward"):
     i0 = site.e0
     i1 = i0 + len(src)
     _require(tuple(d.events[i0:i1]) == src, f"{move} site does not match the template")
+    tr = None
     if move == "R3":
         tr = trace_components(d)
         _require(
@@ -784,7 +796,7 @@ def reidemeister(d, move, site, variant=1, direction="forward"):
             "R3 across node-decorated strands is not supported (node transport"
             " under triple points is undefined)",
         )
-    return _spin_splice(d, i0, i1, dst)
+    return _spin_splice(d, i0, i1, dst, tr=tr)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ correspondence outside the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .diagram import (
     DiagramError,
     Event,
     FrontDiagram,
     MoveError,
+    Trace,
     ValidationError,
     _attrs_from_map,
     mirror_events,
@@ -41,12 +42,15 @@ class Rewrite:
     """Result of a low-level rewrite.
 
     ``old_to_new`` maps surviving old component ids to new ids;
-    ``fresh`` lists new component ids with no preimage (born inside).
+    ``fresh`` lists new component ids with no preimage (born inside);
+    ``trace`` is the trace of ``diagram``, for a caller that rewrites it
+    again.
     """
 
     diagram: FrontDiagram
     old_to_new: dict
     fresh: list
+    trace: Trace = field(default=None, compare=False, repr=False)
 
 
 def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None, name=None):
@@ -67,15 +71,16 @@ def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None, name=No
     attrs, old_to_new, fresh = _attrs_from_map(
         d, tr, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
     )
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh, new_trace)
 
 
-def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
+def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None, tr=None):
     """Replace events[i0:i1] by ``new_events``.
 
     The replacement must preserve the strand count and slot correspondence
     at both edges of the window; segments outside the window keep their
-    (gap, slot) address up to the uniform gap shift.
+    (gap, slot) address up to the uniform gap shift.  ``tr`` is the trace
+    of ``d``, or None to trace it here.
     """
     if not (0 <= i0 <= i1 <= len(d.events)):
         raise MoveError(f"event range [{i0}, {i1}) outside the word")
@@ -85,7 +90,7 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
         new_counts = strand_counts(events, d.left_count)
     except ValidationError as exc:
         raise MoveError(f"{error}: {exc}") from exc
-    tr = trace_components(d)
+    tr = tr or trace_components(d)
     old_counts = tr.counts
     shift = len(new_events) - (i1 - i0)
     if new_counts[i0] != old_counts[i0] or new_counts[i1 + shift] != old_counts[i1]:
@@ -103,13 +108,14 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None):
     )
 
 
-def erase_components(d, cids, name=None):
+def erase_components(d, cids, name=None, tr=None):
     """Erase every event and strand of the given closed components.
 
     Crossings between an erased and a kept component are rejected: the
-    erased components must not be interleaved with the rest.
+    erased components must not be interleaved with the rest.  ``tr`` is the
+    trace of ``d``, or None to trace it here.
     """
-    tr = trace_components(d)
+    tr = tr or trace_components(d)
     dead = set(cids)
     for s in range(1, tr.counts[0] + 1):
         c = tr.seg_comp[(0, s)]
@@ -121,21 +127,18 @@ def erase_components(d, cids, name=None):
         ):
             raise MoveError("erased component crosses a kept component (interleaved)")
     segs = {seg for seg, c in tr.seg_comp.items() if c in dead}
-    return _erase_segments(d, tr, segs, name)
+    return erase_segments(d, segs, name, tr)
 
 
-def erase_segments(d, segs, name=None):
+def erase_segments(d, segs, name=None, tr=None):
     """Erase a set of strand segments (a circuit) plus its internal events.
 
     Crossings between a circuit strand and an outside strand are removed
     (the outside strand runs straight through); cusps must join two circuit
-    strands or two outside strands.
+    strands or two outside strands.  ``tr`` is the trace of ``d``, or None
+    to trace it here.
     """
-    return _erase_segments(d, trace_components(d), segs, name)
-
-
-def _erase_segments(d, tr, segs, name):
-    """:func:`erase_segments` of ``d``, traced as ``tr``."""
+    tr = tr or trace_components(d)
     counts = tr.counts
     dead_by_gap = {}
     for (g, s) in segs:
@@ -179,7 +182,7 @@ def _erase_segments(d, tr, segs, name):
     return rw
 
 
-def double_component(d, cid, side, name=None):
+def double_component(d, cid, side, name=None, tr=None):
     """Insert a vertical push-off running parallel to component ``cid``.
 
     ``side`` ("below" or "above") is where the companion runs relative to
@@ -189,11 +192,12 @@ def double_component(d, cid, side, name=None):
     satellite front, with lk(copy, original) = tb.
 
     Returns (Rewrite, companion_cid, gap_map) where gap_map sends old gap
-    indices to new ones.
+    indices to new ones.  ``tr`` is the trace of ``d``, or None to trace it
+    here.
     """
     if side not in ("below", "above"):
         raise MoveError(f"bad push-off side {side!r}")
-    tr = trace_components(d)
+    tr = tr or trace_components(d)
     counts = tr.counts
     if not tr.components[cid - 1].closed:
         raise MoveError("only closed components admit a push-off")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -208,3 +211,29 @@ def test_framing_check_command(capsys):
     )
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--n", "0"], "n must be between 2 and 8"),
+        (["--n", "9"], "n must be between 2 and 8"),
+        (["--samples", "-5"], "samples must be >= 1"),
+        (["--tol", "0"], "tol must be positive"),
+    ],
+)
+def test_framing_check_bad_argument_exit_code(capsys, bad, message):
+    argv = ["framing-check", "--n", "3", "--samples", "5"]
+    assert main(argv + bad) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, kirbyfront.cli; print('numpy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,333 @@
+"""The component trace: a differential test of ``trace_components`` against
+the dict-based walk it replaced, and a check that no move traces one word
+twice."""
+
+import random
+import sys
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+import kirbyfront.diagram as diagram
+from kirbyfront.diagram import (
+    COEFF_MINUS,
+    Event,
+    FrontDiagram,
+    TracedComponent,
+    Trace,
+    ValidationError,
+    default_attrs,
+    strand_counts,
+    trace_components,
+)
+from kirbyfront.families import cieliebak_diagram, torus_knot_2q
+from kirbyfront.moves import (
+    MoveError,
+    birth_cancel_pair,
+    clasp,
+    crossing_change,
+    handleslide,
+    reidemeister,
+    site_at,
+    stabilize,
+)
+from kirbyfront.wordops import (
+    double_component,
+    erase_components,
+    erase_segments,
+    splice,
+)
+
+from conftest import random_diagram
+from test_wordops import _corpus, _result, _splices
+
+# ---------------------------------------------------------------------------
+# Oracle: the previous trace, kept verbatim
+# ---------------------------------------------------------------------------
+
+
+def _slot_maps(events, counts):
+    """For each event i return (fwd, bwd) slot maps across it.
+
+    fwd maps a slot in gap i-1 to its slot in gap i (None if capped);
+    bwd is the inverse (None if born at the event).
+    """
+    maps = []
+    for i, ev in enumerate(events):
+        before = counts[i]
+        fwd = {}
+        if ev.kind == "L":
+            for s in range(1, before + 1):
+                fwd[s] = s if s < ev.pos else s + 2
+        elif ev.kind == "R":
+            for s in range(1, before + 1):
+                if s in (ev.pos, ev.pos + 1):
+                    fwd[s] = None
+                else:
+                    fwd[s] = s if s < ev.pos else s - 2
+        else:
+            for s in range(1, before + 1):
+                fwd[s] = s
+            fwd[ev.pos] = ev.pos + 1
+            fwd[ev.pos + 1] = ev.pos
+        bwd = {v: k for k, v in fwd.items() if v is not None}
+        maps.append((fwd, bwd))
+    return maps
+
+
+def _oracle_trace_components(d):
+    """Trace strand segments into components.
+
+    Deterministic: components are numbered 1..N by their first-touched
+    segment, ordered by (gap, slot); each closed component is traversed
+    starting at that segment heading rightward.
+    """
+    counts = strand_counts(d.events, d.left_count)
+    nev = len(d.events)
+    maps = _slot_maps(d.events, counts)
+
+    all_segs = [(g, s) for g in range(nev + 1) for s in range(1, counts[g] + 1)]
+    seg_comp = {}
+    seg_dir = {}
+    components = []
+
+    def step(gap, slot, direction):
+        """Advance one segment in the given direction.
+
+        Returns (gap, slot, direction) of the next segment, or None at a
+        wall.  Turning around at a cusp flips the direction.
+        """
+        if direction > 0:
+            if gap == nev:
+                return None
+            ev = d.events[gap]
+            fwd, _ = maps[gap]
+            nxt = fwd[slot]
+            if nxt is None:
+                partner = ev.pos + 1 if slot == ev.pos else ev.pos
+                return (gap, partner, -1)
+            return (gap + 1, nxt, 1)
+        else:
+            if gap == 0:
+                return None
+            ev = d.events[gap - 1]
+            _, bwd = maps[gap - 1]
+            prev = bwd.get(slot)
+            if prev is None:
+                partner = ev.pos + 1 if slot == ev.pos else ev.pos
+                return (gap, partner, 1)
+            return (gap - 1, prev, -1)
+
+    def walk(gap, slot, direction, comp):
+        while True:
+            key = (gap, slot)
+            if key in seg_comp:
+                return
+            seg_comp[key] = comp.cid
+            seg_dir[key] = direction
+            comp.segments.add(key)
+            comp.path.append((gap, slot, direction))
+            nxt = step(gap, slot, direction)
+            if nxt is None:
+                return
+            gap, slot, direction = nxt
+
+    for seg in all_segs:
+        if seg in seg_comp:
+            continue
+        cid = len(components) + 1
+        comp = TracedComponent(cid=cid, closed=False)
+        components.append(comp)
+        # Walk leftward first (without recording) to find an endpoint, so
+        # open components are traversed wall to wall.
+        g, s, dr = seg[0], seg[1], 1
+        seen = set()
+        while True:
+            back = step(g, s, -dr)
+            if back is None:
+                break
+            bg, bs, bdr = back
+            if (bg, bs) == seg or (bg, bs) in seen:
+                # closed component: start at the canonical segment rightward
+                g, s, dr = seg[0], seg[1], 1
+                comp.closed = True
+                break
+            seen.add((bg, bs))
+            g, s, dr = bg, bs, -bdr
+        walk(g, s, dr, comp)
+
+    trace = Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# Differential test
+# ---------------------------------------------------------------------------
+
+
+def _outcome(trace, d):
+    """Every field of ``trace(d)``, dict insertion order included, or the
+    error type and message."""
+    try:
+        tr = trace(d)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    comps = [(c.cid, c.closed, list(c.path), set(c.segments)) for c in tr.components]
+    return (
+        list(tr.seg_comp.items()),
+        list(tr.seg_dir.items()),
+        comps,
+        list(tr.counts),
+    )
+
+
+def _random_word(rng, n, top):
+    """Events with no replay check: most of these words are invalid."""
+    return tuple(
+        Event(rng.choice("LXR"), rng.randrange(1, top + 1)) for _ in range(n)
+    )
+
+
+def _inputs():
+    rng = random.Random(20260)
+    out = list(_corpus(rng, 300))
+    for k in range(1500):
+        out.append(random_diagram(rng, spin=k % 2, max_events=6 + k % 20))
+    for k in range(-2, 3):
+        for m in range(1, 41):
+            out.append(cieliebak_diagram(k, m))
+    out += [torus_knot_2q(51), torus_knot_2q(201)]
+    for k in range(300):
+        left = rng.randrange(4)
+        out.append(
+            FrontDiagram(left_count=left, events=_random_word(rng, k % 9, left + 3))
+        )
+    return out
+
+
+def test_trace_matches_previous_walk():
+    cases = errors = relative = 0
+    for d in _inputs():
+        got = _outcome(trace_components, d)
+        assert got == _outcome(_oracle_trace_components, d), (d.left_count, d.word())
+        cases += 1
+        errors += isinstance(got[0], str)
+        relative += d.left_count > 0
+    assert cases > 3000 and errors > 100 and relative > 300
+
+
+def test_rewrites_take_and_return_traces():
+    """A rewrite given the trace of its input returns what it returns when it
+    traces the input itself, and carries the trace of its output."""
+    rng = random.Random(4049)
+    checked = 0
+    for d in _corpus(rng, 60):
+        tr = trace_components(d)
+        calls = [(splice, (d, *args)) for args in _splices(rng, d, 5)]
+        for c in tr.components:
+            calls += [
+                (erase_components, (d, [c.cid])),
+                (erase_segments, (d, c.segments)),
+                (double_component, (d, c.cid, "below")),
+            ]
+        for fn, args in calls:
+            want = _result(fn, *args)
+            assert _result(fn, *args, tr=tr) == want
+            try:
+                out = fn(*args, tr=tr)
+            except MoveError:
+                continue
+            rw = out[0] if isinstance(out, tuple) else out
+            assert _outcome(trace_components, rw.diagram) == _outcome(
+                lambda _d: rw.trace, rw.diagram
+            )
+            checked += 1
+    assert checked > 300
+
+
+# ---------------------------------------------------------------------------
+# One trace per word per move
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Count trace_components calls per word, rebinding the name in every
+    kirbyfront module that holds it, as an outside tracer would."""
+    seen = Counter()
+    orig = diagram.trace_components
+
+    def counting(d):
+        seen[(d.left_count, d.events)] += 1
+        return orig(d)
+
+    for name, module in list(sys.modules.items()):
+        if name != "kirbyfront" and not name.startswith("kirbyfront."):
+            continue
+        if vars(module).get("trace_components") is orig:
+            monkeypatch.setattr(module, "trace_components", counting)
+
+    def once(fn, *args, **kwargs):
+        seen.clear()
+        res = fn(*args, **kwargs)
+        assert seen and max(seen.values()) == 1, (fn.__name__, dict(seen))
+        return res
+
+    return once
+
+
+def _two_unknots(spin):
+    """Unknot 1 below a -1 unknot 2: a palindrome, so valid at any spin."""
+    events = (Event("L", 1), Event("L", 3), Event("R", 3), Event("R", 1))
+    d = default_attrs(FrontDiagram(spin=spin, events=events))
+    return replace(d, attrs=(d.attrs[0], replace(d.attrs[1], coefficient=COEFF_MINUS)))
+
+
+def _junction(events, width):
+    kinds = ("X", "R", "L", "X")[:width]
+    return next(
+        i
+        for i in range(len(events) - width + 1)
+        if tuple(e.kind for e in events[i : i + width]) == kinds
+        and len({e.pos for e in events[i : i + width]}) == 1
+    )
+
+
+@pytest.mark.parametrize("spin", [0, 1])
+def test_no_move_traces_a_word_twice(traced, spin):
+    d = _two_unknots(spin)
+
+    out = traced(clasp, d, site_at(1, 1), "clasp").diagram
+    assert traced(clasp, out, site_at(1, 1), "unclasp").diagram.events == d.events
+
+    out = traced(stabilize, d, 1, site_at(1, 1), "stabilize").diagram
+    back = traced(stabilize, out, 1, site_at(1, 1), "destabilize").diagram
+    assert back.events == d.events
+
+    traced(birth_cancel_pair, d, site_at(0, 1), "birth")
+    born = traced(birth_cancel_pair, d, site_at(2, 1), "birth")
+    plus, minus = sorted(born.fresh, key=lambda c: -born.diagram.attrs[c - 1].coefficient)
+    site = site_at(0, 1, components=(plus, minus))
+    back = traced(birth_cancel_pair, born.diagram, site, "cancel").diagram
+    assert back.events == d.events
+
+    for move, variant, site in (("R1", 1, site_at(1, 1)), ("R2", 1, site_at(1, 2))):
+        out = traced(reidemeister, d, move, site, variant=variant).diagram
+        back = traced(
+            reidemeister, out, move, site, variant=variant, direction="reverse"
+        ).diagram
+        assert back.events == d.events
+
+    slid = traced(handleslide, d, 1, 2, "minus_up", site_at(2, 2))
+    width = 3 if spin == 0 else 4
+    j = _junction(slid.diagram.events, width)
+    site = site_at(j, slid.diagram.events[j].pos, e1=j + width)
+    moving, over = slid.old_to_new[1], slid.old_to_new[2]
+    back = traced(handleslide, slid.diagram, moving, over, "minus_down", site).diagram
+    assert back.events == d.events and back.attrs == d.attrs
+
+    if spin == 0:
+        clasped = clasp(d, site_at(2, 2), "clasp").diagram
+        out = traced(crossing_change, clasped, site_at(2, 2)).diagram
+        assert traced(crossing_change, out, site_at(2, 2)).diagram == clasped
