@@ -11,8 +11,8 @@ Subcommands::
     verify <scenario id> | --all [--json]
     framing-check --n <n> --samples <s> --tol <t> --seed <x>
 
-Exit codes: 0 pass, 2 precondition failure, 3 assertion/verification
-failure, 4 I/O or parse error.
+Exit codes: 0 pass, 1 internal error (with a traceback), 2 precondition
+failure, 3 assertion/verification failure, 4 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def cmd_ribbon(args):
         sys.stdout.write("\n")
         return EXIT_OK
     if args.ribbon_cmd == "normalize":
-        target = {"planar": "planar", "connected": "connected"}[args.target]
         try:
-            steps = normalize_surface(s, target)
+            steps = normalize_surface(s, args.target)
         except RibbonError as exc:
             return _fail(str(exc), EXIT_PRECONDITION)
         cur = s
@@ -188,7 +187,7 @@ def cmd_ribbon(args):
 
 def cmd_verify(args):
     ids = sorted(SCENARIOS) if args.all else [args.scenario]
-    if not ids or ids == [None]:
+    if ids == [None]:
         return _fail("verify needs a scenario id or --all", EXIT_IO)
     reports = [verify_scenario(i) for i in ids]
     ok = all(r["pass"] for r in reports)

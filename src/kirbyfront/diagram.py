@@ -142,9 +142,6 @@ class FrontDiagram:
         if self.left_count < 0:
             raise ValidationError("left_count must be >= 0")
 
-    def attr(self, cid):
-        return self.attrs[cid - 1]
-
     def word(self):
         return " ".join(str(e) for e in self.events)
 
@@ -303,22 +300,28 @@ def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=Non
     ``old_trace`` is the trace of ``d``.  Returns (attrs, old_to_new,
     fresh): new components no old segment maps to are fresh and get
     ``fresh_attr``.  ``merge`` resolves several old attributes landing on
-    one new component; without it a merge is an error.
+    one new component; without it a merge is an error.  An orientation
+    keeps the direction of travel along the first mapped segment of its
+    component, so it flips where the new canonical traversal runs that
+    segment the other way.
     """
     ncomp = len(new_trace.components)
-    sources = [set() for _ in range(ncomp)]
+    # per new component: old component -> +1, or -1 where its traversal flips
+    sources = [{} for _ in range(ncomp)]
     for old_seg, new_seg in seg_map.items():
         oc = old_trace.seg_comp[old_seg]
-        nc = new_trace.seg_comp[new_seg]
-        sources[nc - 1].add(oc)
+        src = sources[new_trace.seg_comp[new_seg] - 1]
+        if oc not in src:
+            src[oc] = old_trace.seg_dir[old_seg] * new_trace.seg_dir[new_seg]
 
     old_to_new = {}
     for nc0, src in enumerate(sources):
         for oc in src:
             old_to_new[oc] = nc0 + 1
 
-    def old_attr(oc):
-        return d.attrs[oc - 1] if d.attrs else ComponentAttr()
+    def old_attr(src, oc):
+        a = d.attrs[oc - 1] if d.attrs else ComponentAttr()
+        return a if src[oc] > 0 else replace(a, orientation=-a.orientation)
 
     attrs = []
     fresh = []
@@ -327,13 +330,13 @@ def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=Non
             fresh.append(nc0 + 1)
             attrs.append(fresh_attr or ComponentAttr(label=""))
         elif len(src) == 1:
-            attrs.append(old_attr(next(iter(src))))
+            attrs.append(old_attr(src, next(iter(src))))
         else:
             if merge is None:
                 raise MoveError(
                     f"rewrite merged components {sorted(src)} without a merge rule"
                 )
-            attrs.append(merge(sorted(src), [old_attr(i) for i in sorted(src)]))
+            attrs.append(merge(sorted(src), [old_attr(src, i) for i in sorted(src)]))
     fixed = []
     for a in attrs:
         links = tuple(old_to_new[t] for t in a.dashed_links if t in old_to_new)
@@ -364,6 +367,8 @@ def mirror(d):
     old = trace_components(d)
     seg_map = {(g, s): (nev - g, s) for (g, s) in old.seg_comp}
     attrs, _, _ = _attrs_from_map(d, old, trace_components(mirrored), seg_map)
+    # the mirror reverses x, so the direction of travel reverses with it
+    attrs = tuple(replace(a, orientation=-a.orientation) for a in attrs)
     return replace(mirrored, attrs=attrs)
 
 
@@ -416,7 +421,7 @@ def validate_diagram(d):
 _EVENT_LETTERS = {"L", "X", "R"}
 
 
-def parse_front(text, name=None):
+def parse_front(text):
     """Parse the line-oriented ``.front`` format.
 
     Grammar::
@@ -433,7 +438,7 @@ def parse_front(text, name=None):
     Component lines bind positionally: the i-th line decorates the i-th
     component in canonical trace order.
     """
-    dname = name or "d"
+    dname = "d"
     spin = 0
     left = 0
     events = []

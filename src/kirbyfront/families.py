@@ -18,7 +18,7 @@ from .diagram import (
     FrontDiagram,
     default_attrs,
 )
-from .moves import birth_cancel_pair, clasp, site_at, stabilize
+from .moves import birth_cancel_pair, clasp, reidemeister, site_at, stabilize
 from .wordops import double_component
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "cieliebak_diagram",
     "trivial_bypass_pair",
     "mazur_diagram",
-    "mazur_crossing_site",
 ]
 
 
@@ -136,8 +135,6 @@ def mazur_diagram(name="mazur"):
     is contractible: chi = 1 and the extended linking matrix
     [[0, 1], [1, -4]] is unimodular.
     """
-    from .moves import reidemeister
-
     d = birth_cancel_pair(FrontDiagram(name=name), site_at(0, 1), "birth").diagram
     d = reidemeister(d, "R2", site_at(1, 1), variant=1, direction="forward").diagram
     d = clasp(d, site_at(4, 2), "clasp").diagram
@@ -147,9 +144,3 @@ def mazur_diagram(name="mazur"):
         replace(d.attrs[1], label="k"),
     )
     return replace(d, attrs=attrs)
-
-
-def mazur_crossing_site():
-    """Site of the designated unknotting crossing (first self-clasp
-    crossing of the 2-handle sphere)."""
-    return site_at(4, 2, e1=5)

@@ -15,8 +15,10 @@ from .diagram import (
     COEFF_MINUS,
     COEFF_PLUS,
     DiagramError,
+    default_attrs,
     trace_components,
 )
+from .smith import smith_normal_form
 
 __all__ = [
     "ClassicalInvariants",
@@ -192,8 +194,6 @@ def handle_census(d):
 
 
 def _with_default_attrs(d):
-    from .diagram import default_attrs
-
     return default_attrs(d)
 
 
@@ -288,8 +288,6 @@ def homology_presentation(d):
                 continue
             key = (min(ca, cb_), max(ca, cb_))
             m[a][b] = m[b][a] = linking.get(key, 0)
-
-    from .smith import smith_normal_form
 
     diag = smith_normal_form(m)
     factors = [x for x in diag if x > 1]

@@ -23,7 +23,14 @@ junction, normalize, and cancel the pair.
 from __future__ import annotations
 
 from .diagram import COEFF_MINUS, COEFF_PLUS, Event, trace_components
-from .moves import MoveError, _require, _stab_template, birth_cancel_pair, site_at
+from .moves import (
+    MoveError,
+    _junction,
+    _require,
+    _stab_template,
+    birth_cancel_pair,
+    site_at,
+)
 from .scripts import MoveScript, MoveStep, apply_step
 
 __all__ = ["crossing_change_macro", "destabilize_macro"]
@@ -73,17 +80,12 @@ def crossing_change_macro(d, site):
     return b.script()
 
 
-def _find_junction(d, exclude=()):
-    """The unique [X, R, L] same-slot triple (the slide junction)."""
-    hits = [
-        j
-        for j in range(len(d.events) - 2)
-        if j not in exclude
-        and tuple(e.kind for e in d.events[j : j + 3]) == ("X", "R", "L")
-        and len({e.pos for e in d.events[j : j + 3]}) == 1
-    ]
+def _find_junction(d):
+    """The unique slide junction in the word."""
+    ev = d.events
+    hits = [j for j in range(len(ev) - 2) if ev[j : j + 3] == _junction(ev[j].pos)]
     _require(len(hits) == 1, f"expected one slide junction, found {len(hits)}")
-    return hits[0], d.events[hits[0]].pos
+    return hits[0], ev[hits[0]].pos
 
 
 def destabilize_macro(d, c, site):
@@ -173,7 +175,6 @@ def destabilize_macro(d, c, site):
     b.apply("normalize")
 
     # panels 10-11: cancel the pair
-    tr3 = trace_components(b.cur)
     plus = [k + 1 for k, a in enumerate(b.cur.attrs) if a.coefficient == COEFF_PLUS]
     minus = [k + 1 for k, a in enumerate(b.cur.attrs) if a.coefficient == COEFF_MINUS]
     _require(len(plus) == 1, "expected exactly one +1 unknot before cancelling")

@@ -34,7 +34,7 @@ from .diagram import (
     strand_counts,
     trace_components,
 )
-from .invariants import handle_census
+from .invariants import all_classical_invariants, handle_census
 from .wordops import (
     MoveError,
     _try_swap,
@@ -184,6 +184,10 @@ def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
 # ---------------------------------------------------------------------------
 
 
+def _clasp_template(s):
+    return (Event("X", s), Event("X", s))
+
+
 def clasp(d, site, direction="clasp"):
     """Replace two parallel strands by the clasped pattern, or inversely.
 
@@ -198,11 +202,10 @@ def clasp(d, site, direction="clasp"):
         counts = strand_counts(d.events, d.left_count)
         _require(site.e0 <= len(d.events), "site beyond the word")
         _require(counts[site.e0] >= s + 1, "clasp needs two adjacent strands")
-        return _spin_splice(d, site.e0, site.e0, (Event("X", s), Event("X", s)))
+        return _spin_splice(d, site.e0, site.e0, _clasp_template(s))
     if direction == "unclasp":
-        w = d.events[site.e0 : site.e0 + 2]
         _require(
-            len(w) == 2 and all(e.kind == "X" and e.pos == s for e in w),
+            tuple(d.events[site.e0 : site.e0 + 2]) == _clasp_template(s),
             "unclasp site does not match the clasped template",
         )
         return _spin_splice(d, site.e0, site.e0 + 2, ())
@@ -274,12 +277,35 @@ def _junction(s):
     return (Event("X", s), Event("R", s), Event("L", s))
 
 
+def _crossing_template(s):
+    return (
+        Event("L", s + 2),
+        Event("R", s + 1),
+        Event("L", s),
+        Event("X", s + 1),
+        Event("R", s + 2),
+    )
+
+
+def _axis_neck(s):
+    return _junction(s) + (Event("X", s),)
+
+
 def _junction_for(d, gap, s):
     """Junction block at an insertion gap; a site on the spin axis takes the
     palindromic neck [X, R, L, X] so the rewrite is its own mirror."""
     if d.spin > 0 and gap * 2 == len(d.events):
-        return (Event("X", s), Event("R", s), Event("L", s), Event("X", s))
+        return _axis_neck(s)
     return _junction(s)
+
+
+def _slide_back_blocks(s):
+    """The blocks a slide back removes: the junction, the axis neck, and the
+    junction whose crossing an unclasp inside the slid region changed."""
+    return (_junction(s), _axis_neck(s), _crossing_template(s) + _junction(s)[1:])
+
+
+_SLIDE_BACK_WIDTHS = {len(b) for b in _slide_back_blocks(1)}
 
 
 def uplus(d, a, b, site):
@@ -343,7 +369,7 @@ def handleslide(d, moving, over, variant, site):
         f"component {over} does not carry the"
         f" {'-1' if want_coeff == COEFF_MINUS else '+1'} coefficient of this variant",
     )
-    if site.e1 in (site.e0 + 3, site.e0 + 4, site.e0 + 7):
+    if site.e1 - site.e0 in _SLIDE_BACK_WIDTHS:
         return _slide_back(d, moving, over, site)
     _require(site.e0 == site.e1, "handleslide site is an insertion point")
 
@@ -365,21 +391,14 @@ def handleslide(d, moving, over, variant, site):
     d2, tr2 = rw.diagram, rw.trace
     moving2 = rw.old_to_new[moving]
     gap = gap_map[site.e0]
-    # locate the junction slot: moving strand with the companion right above
-    if side == "up":
-        candidates = [
-            slot
-            for slot in range(1, tr2.counts[gap] + 1)
-            if tr2.seg_comp.get((gap, slot)) == moving2
-            and tr2.seg_comp.get((gap, slot + 1)) == companion
-        ]
-    else:
-        candidates = [
-            slot
-            for slot in range(1, tr2.counts[gap] + 1)
-            if tr2.seg_comp.get((gap, slot)) == companion
-            and tr2.seg_comp.get((gap, slot + 1)) == moving2
-        ]
+    # locate the junction slot: the moving strand right next to the companion
+    lower, upper = (moving2, companion) if side == "up" else (companion, moving2)
+    candidates = [
+        slot
+        for slot in range(1, tr2.counts[gap] + 1)
+        if tr2.seg_comp.get((gap, slot)) == lower
+        and tr2.seg_comp.get((gap, slot + 1)) == upper
+    ]
     _require(candidates, "push-off did not land next to the moving strand")
     q = min(candidates, key=lambda slot: abs(slot - s))
 
@@ -396,37 +415,13 @@ def handleslide(d, moving, over, variant, site):
     return res
 
 
-def _composite_junction(w, s):
-    """True if the window is the changed-crossing junction left by an
-    unclasp inside a slid region: [T(s), R_s, L_s] with T the crossing
-    change pattern."""
-    if len(w) != 7:
-        return False
-    kinds = tuple(e.kind for e in w)
-    poss = tuple(e.pos for e in w)
-    return kinds == ("L", "R", "L", "X", "R", "R", "L") and poss == (
-        s + 2,
-        s + 1,
-        s,
-        s + 1,
-        s + 2,
-        s,
-        s,
-    )
-
-
 def _slide_back(d, moving, over, site):
     i = site.e0
     width = site.e1 - site.e0
-    w = d.events[i : i + width]
-    kinds = tuple(e.kind for e in w)
-    plain = (width == 3 and kinds == ("X", "R", "L")) or (
-        width == 4 and kinds == ("X", "R", "L", "X")
+    _require(
+        tuple(d.events[i : i + width]) in _slide_back_blocks(site.s0),
+        "slide-back site does not match a junction",
     )
-    ok = (plain and all(e.pos == site.s0 for e in w)) or _composite_junction(
-        w, site.s0
-    )
-    _require(ok, "slide-back site does not match a junction")
     tr = trace_components(d)
     _require(
         _strand_comp(tr, i, site.s0) == moving
@@ -496,16 +491,6 @@ def _slide_back(d, moving, over, site):
 # ---------------------------------------------------------------------------
 # crossing change
 # ---------------------------------------------------------------------------
-
-
-def _crossing_template(s):
-    return (
-        Event("L", s + 2),
-        Event("R", s + 1),
-        Event("L", s),
-        Event("X", s + 1),
-        Event("R", s + 2),
-    )
 
 
 def crossing_change(d, site, mode="primitive"):
@@ -804,29 +789,33 @@ def reidemeister(d, move, site, variant=1, direction="forward"):
 # ---------------------------------------------------------------------------
 
 
+def _relative(a, b, c):
+    """Three events read relative to the position of the first."""
+    return (a.kind, b.kind, c.kind, b.pos - a.pos, c.pos - a.pos)
+
+
+# The reducing front moves: the long side of every R1 and R2 template, read
+# relative to its first event, -> (template key, template slot minus the
+# first event's position).  The six long sides are disjoint three-event
+# blocks.
+_REDUCTIONS = {
+    _relative(*long_): (key, 1 - long_[0].pos)
+    for key, (_short, long_) in _r_templates(1).items()
+    if key[0] != "R3"
+}
+
+
 def _reduction_at(events, i):
     """The replacement block if a reducing front move matches events[i:i+3]:
-    the two swallowtail kinks erase, the four through-cusp patterns drop
-    their crossing pair."""
+    the short side of the R1 or R2 template whose long side is there."""
     if i + 3 > len(events):
         return None
-    a, b, c = events[i : i + 3]
-    p = a.pos
-    if a.kind == "L":
-        if (b.kind, b.pos, c.kind, c.pos) == ("X", p + 1, "R", p):
-            return ()
-        if p >= 2 and (b.kind, b.pos, c.kind, c.pos) == ("X", p - 1, "R", p):
-            return ()
-        if (b.kind, b.pos, c.kind, c.pos) == ("X", p + 1, "X", p):
-            return (Event("L", p + 1),)
-        if p >= 2 and (b.kind, b.pos, c.kind, c.pos) == ("X", p - 1, "X", p):
-            return (Event("L", p - 1),)
-    if a.kind == "X":
-        if (b.kind, b.pos, c.kind, c.pos) == ("X", p + 1, "R", p):
-            return (Event("R", p + 1),)
-        if p >= 2 and (b.kind, b.pos, c.kind, c.pos) == ("X", p - 1, "R", p):
-            return (Event("R", p - 1),)
-    return None
+    hit = _REDUCTIONS.get(_relative(*events[i : i + 3]))
+    if hit is None:
+        return None
+    # the window has an event at the template's slot s, so s >= 1
+    key, offset = hit
+    return _r_templates(events[i].pos + offset)[key][0]
 
 
 def normalize(d):
@@ -863,8 +852,6 @@ def normalize(d):
 
 
 def _invariant_fingerprint(d):
-    from .invariants import all_classical_invariants
-
     census = handle_census(d)
     finger = [tuple(sorted(census.counts.items())), census.euler]
     if d.spin == 0:
@@ -889,4 +876,4 @@ def equivalent_up_to_normalization(a, b):
             return False
     except DiagramError:
         pass
-    return same_diagram(normalize(a), normalize(b), ignore_labels=True)
+    return same_diagram(normalize(a), normalize(b))

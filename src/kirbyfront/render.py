@@ -29,7 +29,7 @@ def _xy(gap, slot, height):
     return x, y
 
 
-def render_svg(d, width=None, show_labels=True):
+def render_svg(d):
     """Render the diagram to an SVG document string.
 
     One ``<path>`` per maximal strand run between cusps, a ``gap`` circle
@@ -42,7 +42,7 @@ def render_svg(d, width=None, show_labels=True):
     nev = len(d.events)
     maxslot = max(counts) if counts else 1
     height = 2 * MARGIN + (maxslot + 1) * YSTEP
-    width = width or (2 * MARGIN + (nev + 1) * XSTEP)
+    width = 2 * MARGIN + (nev + 1) * XSTEP
 
     paths = []
     gaps = []
@@ -99,7 +99,7 @@ def render_svg(d, width=None, show_labels=True):
             f' fill="white" stroke="none"/>'
         )
 
-    if show_labels and d.attrs:
+    if d.attrs:
         seen = set()
         for comp in tr.components:
             attr = d.attrs[comp.cid - 1]

@@ -71,12 +71,6 @@ class DiskBandSurface:
         if len(feet) != 2 * len(self.bands):
             raise RibbonError("stray feet in cyclic orders")
 
-    def band(self, name):
-        for b in self.bands:
-            if b.name == name:
-                return b
-        raise RibbonError(f"no band named {name}")
-
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -339,7 +333,11 @@ def canonical_key(s):
     return keys[0] if len(keys) == 1 else tuple(keys)
 
 
-def normalize_surface(s, target, node_cap=200000):
+# the most surfaces normalize_surface expands before it gives up
+NODE_CAP = 200000
+
+
+def normalize_surface(s, target):
     """Breadth-first search over adjacent transpositions to the target.
 
     target "planar" stops at genus 0; "connected" stops at one boundary
@@ -370,8 +368,8 @@ def normalize_surface(s, target, node_cap=200000):
     while queue:
         cur, path = queue.popleft()
         expanded += 1
-        if expanded > node_cap:
-            raise RibbonError(f"search budget exceeded ({node_cap} nodes)")
+        if expanded > NODE_CAP:
+            raise RibbonError(f"search budget exceeded ({NODE_CAP} nodes)")
         for disk in cur.disks:
             n = len(cur.order[disk])
             if n < 2:

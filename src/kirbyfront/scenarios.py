@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import time
 
-from .diagram import COEFF_MINUS
+from .diagram import COEFF_MINUS, DiagramError
 from .families import (
     cieliebak_diagram,
     mazur_diagram,
     stabilized_unknot,
+    torus_knot_2q,
     trivial_bypass_pair,
     unknot,
 )
@@ -35,14 +36,18 @@ from .invariants import (
 )
 from .macros import destabilize_macro
 from .moves import (
-    MoveError,
     cancel_trivial_bypass,
     crossing_change,
     equivalent_up_to_normalization,
     site_at,
     stabilize,
 )
-from .ribbon import normalize_surface, parse_ribbon, surface_invariants
+from .ribbon import (
+    clasp_transpose,
+    normalize_surface,
+    parse_ribbon,
+    surface_invariants,
+)
 from .scripts import parse_script, run_script
 
 __all__ = ["SCENARIOS", "verify_scenario", "mazur_script_text"]
@@ -109,8 +114,6 @@ def _scenario_fig_destab():
 
 def _scenario_fig_crossing_macro():
     log = []
-    from .families import torus_knot_2q
-
     t = torus_knot_2q(3, coefficient=COEFF_MINUS)
     site = site_at(3, 2, e1=4)
     prim = crossing_change(t, site).diagram
@@ -207,8 +210,6 @@ def _scenario_ribbon_heegaard():
     _check(inv.orientable, "handlebody surface should be orientable")
     steps = normalize_surface(s, "planar")
     cur = s
-    from .ribbon import clasp_transpose
-
     for (disk, slot) in steps:
         cur = clasp_transpose(cur, disk, slot)
     planar = surface_invariants(cur)
@@ -256,7 +257,7 @@ def verify_scenario(scenario_id):
         log = SCENARIOS[scenario_id]()
         err = None
         ok = True
-    except (ScenarioFailure, MoveError, Exception) as exc:  # noqa: BLE001
+    except (ScenarioFailure, DiagramError) as exc:
         log = []
         err = f"{type(exc).__name__}: {exc}"
         ok = False

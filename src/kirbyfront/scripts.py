@@ -196,7 +196,7 @@ def _check_assert(d, key, value):
     return got == _to_int(value, what)
 
 
-def run_script(script, check_valid=True):
+def run_script(script):
     """Execute all steps; returns (final diagram, per-step log).
 
     Each log entry is (step index, move name, event count after the step).
@@ -204,10 +204,9 @@ def run_script(script, check_valid=True):
     :class:`ScriptError` carrying the step index.
     """
     d = script.initial
-    if check_valid:
-        problems = validate_diagram(d)
-        if problems:
-            raise ScriptError(0, f"initial diagram invalid: {problems[0]}")
+    problems = validate_diagram(d)
+    if problems:
+        raise ScriptError(0, f"initial diagram invalid: {problems[0]}")
     log = []
     for idx, step in enumerate(script.steps, start=1):
         try:

@@ -53,12 +53,12 @@ class Rewrite:
     trace: Trace = field(default=None, compare=False, repr=False)
 
 
-def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None, name=None):
+def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None):
     """The rewrite of ``d`` (traced as ``tr``) to ``events`` on the same
     walls, with attributes carried along ``seg_map``; an invalid word is a
     :class:`MoveError` that starts with ``error``."""
     out = FrontDiagram(
-        name=name or d.name,
+        name=d.name,
         spin=d.spin,
         left_count=d.left_count,
         events=tuple(events),
@@ -74,7 +74,7 @@ def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None, name=No
     return Rewrite(replace(out, attrs=attrs), old_to_new, fresh, new_trace)
 
 
-def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None, tr=None):
+def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
     """Replace events[i0:i1] by ``new_events``.
 
     The replacement must preserve the strand count and slot correspondence
@@ -103,12 +103,10 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None, tr=Non
     for g in range(i1, len(d.events) + 1):
         for s in range(1, old_counts[g] + 1):
             seg_map[(g, s)] = (g + shift, s)
-    return _rebuild(
-        d, tr, events, seg_map, error, merge=merge, fresh_attr=fresh_attr, name=name
-    )
+    return _rebuild(d, tr, events, seg_map, error, merge=merge, fresh_attr=fresh_attr)
 
 
-def erase_components(d, cids, name=None, tr=None):
+def erase_components(d, cids, tr=None):
     """Erase every event and strand of the given closed components.
 
     Crossings between an erased and a kept component are rejected: the
@@ -127,10 +125,10 @@ def erase_components(d, cids, name=None, tr=None):
         ):
             raise MoveError("erased component crosses a kept component (interleaved)")
     segs = {seg for seg, c in tr.seg_comp.items() if c in dead}
-    return erase_segments(d, segs, name, tr)
+    return erase_segments(d, segs, tr)
 
 
-def erase_segments(d, segs, name=None, tr=None):
+def erase_segments(d, segs, tr=None):
     """Erase a set of strand segments (a circuit) plus its internal events.
 
     Crossings between a circuit strand and an outside strand are removed
@@ -174,15 +172,13 @@ def erase_segments(d, segs, name=None, tr=None):
         for new_s, old_s in enumerate(live, start=1):
             seg_map[(gap, old_s)] = (len(new_events), new_s)
 
-    rw = _rebuild(
-        d, tr, new_events, seg_map, "circuit erasure left an invalid word", name=name
-    )
+    rw = _rebuild(d, tr, new_events, seg_map, "circuit erasure left an invalid word")
     if rw.fresh:
         raise MoveError("circuit erasure created components out of nothing")
     return rw
 
 
-def double_component(d, cid, side, name=None, tr=None):
+def double_component(d, cid, side, tr=None):
     """Insert a vertical push-off running parallel to component ``cid``.
 
     ``side`` ("below" or "above") is where the companion runs relative to
@@ -262,9 +258,7 @@ def double_component(d, cid, side, name=None, tr=None):
         for s in range(1, counts[gap] + 1):
             seg_map[(gap, s)] = (gap_map[gap], mg[s])
 
-    rw = _rebuild(
-        d, tr, new_events, seg_map, "push-off produced an invalid word", name=name
-    )
+    rw = _rebuild(d, tr, new_events, seg_map, "push-off produced an invalid word")
     if len(rw.fresh) != 1:
         raise MoveError("push-off did not create exactly one companion")
     return rw, rw.fresh[0], gap_map
@@ -371,18 +365,13 @@ def exchange_canonical(d):
     return rw.diagram
 
 
-def same_diagram(a, b, ignore_labels=True, ignore_names=True):
-    """Structural equality of diagrams (word, walls, spin, decorations)."""
+def same_diagram(a, b):
+    """Structural equality of diagrams (word, walls, spin, decorations),
+    names and labels aside."""
     if (a.spin, a.left_count, a.events) != (b.spin, b.left_count, b.events):
-        return False
-    if not ignore_names and a.name != b.name:
         return False
     if len(a.attrs) != len(b.attrs):
         return False
-    for x, y in zip(a.attrs, b.attrs):
-        if ignore_labels:
-            x = replace(x, label="")
-            y = replace(y, label="")
-        if x != y:
-            return False
-    return True
+    return all(
+        replace(x, label="") == replace(y, label="") for x, y in zip(a.attrs, b.attrs)
+    )

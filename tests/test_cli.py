@@ -8,6 +8,7 @@ import pytest
 from kirbyfront.cli import main
 from kirbyfront.diagram import COEFF_PLUS, serialize_front
 from kirbyfront.families import cieliebak_diagram, mazur_diagram, unknot
+from kirbyfront.scenarios import SCENARIOS, verify_scenario
 from kirbyfront.scripts import MOVES
 
 
@@ -179,6 +180,20 @@ def test_verify_all(capsys):
 
 def test_verify_unknown_scenario(capsys):
     assert main(["verify", "nope"]) == 3
+
+
+def test_verify_reports_an_engine_bug_as_an_error(monkeypatch):
+    """A failing scenario check is a FAIL; an exception that is no diagram
+    error is a bug in the engine and propagates (exit 1, with a traceback)."""
+
+    def broken():
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setitem(SCENARIOS, "cieliebak", broken)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        verify_scenario("cieliebak")
+    with pytest.raises(RuntimeError, match="engine bug"):
+        main(["verify", "cieliebak"])
 
 
 def test_verify_json_deterministic(capsys):

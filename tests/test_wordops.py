@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirbyfront import diagram, wordops
 from kirbyfront.diagram import (
     COEFF_MINUS,
     COEFF_NONE,
@@ -14,6 +15,7 @@ from kirbyfront.diagram import (
     DiagramError,
     Event,
     FrontDiagram,
+    _attrs_from_map,
     check_spin_symmetry,
     default_attrs,
     mirror,
@@ -25,7 +27,7 @@ from kirbyfront.diagram import (
     validate_diagram,
 )
 from kirbyfront.invariants import classical_invariants, crossing_data, handle_census
-from kirbyfront.moves import normalize
+from kirbyfront.moves import normalize, reidemeister, site_at
 from kirbyfront.wordops import (
     _RANK,
     MoveError,
@@ -123,6 +125,47 @@ def _closed_invariants(d):
         if comp.closed:
             out.append(classical_invariants(d, comp.cid, tr))
     return out
+
+
+def _tb_rot(d):
+    """(tb, rot) of each closed component of a spin-0 diagram, by id."""
+    tr = trace_components(d)
+    return {
+        c.cid: (inv.tb, inv.rot)
+        for c in tr.components
+        if c.closed
+        for inv in (classical_invariants(d, c.cid, tr),)
+    }
+
+
+def test_rewrites_keep_each_component_tb_and_rot():
+    """Orientations follow the direction of travel, so isotopies and the
+    mirror keep every closed component's (tb, rot), whatever the traversal
+    the rewritten word starts each component at."""
+    word = "L1 L3 X1 L1 R3 L1 R1 X2 X1 R1 R1".split()
+    found = default_attrs(FrontDiagram(events=[Event(t[0], int(t[1:])) for t in word]))
+    rng = random.Random(4242)
+    corpus = [found] + [_decorate(rng, random_diagram(rng)) for _ in range(150)]
+    moves = 0
+    for d in corpus:
+        before = _tb_rot(d)
+        for whole in (mirror(d), exchange_canonical(d)):
+            assert sorted(_tb_rot(whole).values()) == sorted(before.values())
+        counts = strand_counts(d.events, 0)
+        for _ in range(40):
+            move = rng.choice(("R1", "R2", "R3"))
+            variant = {"R1": rng.choice((1, 2)), "R2": rng.randrange(1, 5)}.get(move, 1)
+            i = rng.randrange(len(d.events) + 1)
+            site = site_at(i, rng.randrange(1, counts[i] + 2))
+            for direction in ("forward", "reverse"):
+                try:
+                    res = reidemeister(d, move, site, variant, direction)
+                except MoveError:
+                    continue
+                after = _tb_rot(res.diagram)
+                assert {res.old_to_new[c]: v for c, v in before.items()} == after
+                moves += 1
+    assert moves > 500
 
 
 @given(diagrams())
@@ -656,10 +699,52 @@ def _result(fn, *args, **kwargs):
     return out
 
 
-def test_rewrites_match_parent_oracles():
+def _unoriented(result):
+    """A rewrite's result with every orientation set to +1 (an error as is)."""
+    if isinstance(result, FrontDiagram):
+        attrs = tuple(replace(a, orientation=1) for a in result.attrs)
+        return replace(result, attrs=attrs)
+    if isinstance(result[0], FrontDiagram):
+        return (_unoriented(result[0]),) + result[1:]
+    return result
+
+
+def _assert_orientation_transported(d, transport, out, sign):
+    """Each new component with one source keeps the source's direction of
+    travel along the first mapped segment between them (``sign`` -1: the
+    rewrite reverses x); ``transport`` is the recorded call's (old trace,
+    new trace, segment map)."""
+    old, new, seg_map = transport
+    first = {}
+    for o, n in seg_map.items():
+        first.setdefault((old.seg_comp[o], new.seg_comp[n]), (o, n))
+    sources = {}
+    for oc, nc in first:
+        sources.setdefault(nc, []).append(oc)
+    for nc, ocs in sources.items():
+        if len(ocs) != 1:
+            continue
+        o, n = first[(ocs[0], nc)]
+        was = d.attrs[ocs[0] - 1].orientation if d.attrs else 1
+        travel = out.attrs[nc - 1].orientation * new.seg_dir[n]
+        assert travel == sign * was * old.seg_dir[o]
+
+
+def test_rewrites_match_parent_oracles(monkeypatch):
+    """The oracles copy ``orientation`` unchanged, which flips the direction
+    of travel where a rewrite reverses a component's canonical traversal:
+    orientations are compared with the transport rule instead."""
+    transports = []
+
+    def recording(d, old_trace, new_trace, seg_map, *args, **kwargs):
+        transports.append((old_trace, new_trace, seg_map))
+        return _attrs_from_map(d, old_trace, new_trace, seg_map, *args, **kwargs)
+
+    monkeypatch.setattr(wordops, "_attrs_from_map", recording)
+    monkeypatch.setattr(diagram, "_attrs_from_map", recording)
     rng = random.Random(20260)
     corpus = _corpus(rng, 40)
-    cases = errors = 0
+    cases = errors = oriented = 0
     for d in corpus:
         pairs = [
             (mirror, _oracle_mirror, (d,)),
@@ -682,9 +767,18 @@ def test_rewrites_match_parent_oracles():
             args = (d, i0, i1, evs, merge, fresh_attr)
             pairs.append((splice, _oracle_splice, args))
         for new, old, args in pairs:
+            transports.clear()
             got = _result(new, *args)
-            assert got == _result(old, *args), (new.__name__, args)
+            assert _unoriented(got) == _unoriented(_result(old, *args)), (
+                new.__name__,
+                args,
+            )
             cases += 1
-            errors += isinstance(got, tuple) and isinstance(got[0], str)
-    assert cases > 4000 and errors > 1000
-
+            failed = isinstance(got[0], str) if isinstance(got, tuple) else False
+            errors += failed
+            if transports and not failed:
+                out = got if isinstance(got, FrontDiagram) else got[0]
+                sign = -1 if new is mirror else 1
+                _assert_orientation_transported(d, transports[-1], out, sign)
+                oriented += 1
+    assert cases > 4000 and errors > 1000 and oriented > 2000
