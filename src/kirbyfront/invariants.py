@@ -5,6 +5,11 @@ crossing is positive exactly when the two strands are traversed in the same
 x-direction.  The rotation number is (down cusps - up cusps) / 2 and the
 Thurston-Bennequin number is writhe - (right cusps), both computed per
 closed component of a spin-0 diagram.
+
+Cusps and crossings are tallied once per trace: one walk of the word
+counts every component's cusps and files every crossing under its
+component pair, and the invariants, the linking matrix, the homology
+presentation and the move preconditions all read that tally.
 """
 
 from __future__ import annotations
@@ -86,25 +91,50 @@ def _orient(d, cid):
     return 1
 
 
-def _cusp_direction(d, tr, i):
-    """+1 for an up cusp, -1 for a down cusp, at event index i."""
-    ev = d.events[i]
-    if ev.kind == "L":
-        lower = (i + 1, ev.pos)
-        upper = (i + 1, ev.pos + 1)
-    else:
-        lower = (i, ev.pos)
-        upper = (i, ev.pos + 1)
-    cid = tr.seg_comp[lower]
-    orient = _orient(d, cid)
-    # Leaving a left cusp rightward along the lower strand means the
-    # traversal came down through the cusp; at a right cusp arriving
-    # rightward along the lower strand means it goes up.
-    if ev.kind == "L":
-        up = tr.seg_dir[upper] * orient > 0
-    else:
-        up = tr.seg_dir[lower] * orient > 0
-    return 1 if up else -1
+def _tally(d, tr):
+    """One walk of the word ``d`` traced as ``tr``: per component id its
+    ``[left, right, up, down]`` cusp counts, and per unordered component
+    pair ``(a, b)``, ``a <= b``, the ``(event index, sign)`` of each
+    crossing between them in word order; self-crossings file under
+    ``(a, a)``.  Signs are those of :func:`crossing_data`."""
+    seg_comp, seg_dir = tr.seg_comp, tr.seg_dir
+    cusps = {c.cid: [0, 0, 0, 0] for c in tr.components}
+    pairs = {}
+    for i, ev in enumerate(d.events):
+        p = ev.pos
+        if ev.kind == "X":
+            back, front = (i, p), (i, p + 1)
+            cb, cf = seg_comp[back], seg_comp[front]
+            sign = seg_dir[back] * _orient(d, cb) * seg_dir[front] * _orient(d, cf)
+            pairs.setdefault((cb, cf) if cb <= cf else (cf, cb), []).append((i, sign))
+            continue
+        left = ev.kind == "L"
+        gap = i + 1 if left else i
+        cid = seg_comp[(gap, p)]
+        # Leaving a left cusp rightward along the lower strand means the
+        # traversal came down through the cusp; at a right cusp arriving
+        # rightward along the lower strand means it goes up.
+        up = seg_dir[(gap, p + 1) if left else (gap, p)] * _orient(d, cid) > 0
+        counts = cusps[cid]
+        counts[0 if left else 1] += 1
+        counts[2 if up else 3] += 1
+    return cusps, pairs
+
+
+def _classical(tally, cid):
+    """The :class:`ClassicalInvariants` of component ``cid`` in a tally."""
+    cusps, pairs = tally
+    left, right, up, down = cusps[cid]
+    writhe = sum(sign for _i, sign in pairs.get((cid, cid), ()))
+    return ClassicalInvariants(
+        tb=writhe - right,
+        rot=(down - up) // 2,
+        writhe=writhe,
+        left_cusps=left,
+        right_cusps=right,
+        up_cusps=up,
+        down_cusps=down,
+    )
 
 
 def classical_invariants(d, cid, tr=None):
@@ -117,46 +147,22 @@ def classical_invariants(d, cid, tr=None):
     tr = tr or trace_components(d)
     if not 1 <= cid <= len(tr.components):
         raise InvariantError(f"no component {cid}")
-    comp = tr.components[cid - 1]
-    if not comp.closed:
+    if not tr.components[cid - 1].closed:
         raise InvariantError(f"component {cid} is open")
+    return _classical(_tally(d, tr), cid)
 
-    left = right = up = down = 0
-    for i, ev in enumerate(d.events):
-        if ev.kind == "X":
-            continue
-        gap = i + 1 if ev.kind == "L" else i
-        if tr.seg_comp[(gap, ev.pos)] != cid:
-            continue
-        if ev.kind == "L":
-            left += 1
-        else:
-            right += 1
-        if _cusp_direction(d, tr, i) > 0:
-            up += 1
-        else:
-            down += 1
-    writhe = sum(
-        sign for (_i, cf, cb, sign) in crossing_data(d, tr) if cf == cid and cb == cid
-    )
-    return ClassicalInvariants(
-        tb=writhe - right,
-        rot=(down - up) // 2,
-        writhe=writhe,
-        left_cusps=left,
-        right_cusps=right,
-        up_cusps=up,
-        down_cusps=down,
-    )
+
+def _all_classical(d, tr):
+    """:func:`all_classical_invariants` of ``d`` traced as ``tr``."""
+    closed = [c.cid for c in tr.components if c.closed]
+    if closed and d.spin != 0:
+        raise InvariantError("classical invariants are defined for spin 0 only")
+    tally = _tally(d, tr)
+    return {cid: _classical(tally, cid) for cid in closed}
 
 
 def all_classical_invariants(d):
-    tr = trace_components(d)
-    return {
-        c.cid: classical_invariants(d, c.cid, tr)
-        for c in tr.components
-        if c.closed
-    }
+    return _all_classical(d, trace_components(d))
 
 
 def _classify(d, cid):
@@ -198,10 +204,11 @@ def _with_default_attrs(d):
 
 
 def _surgery_data(d, what):
-    """The pass that linking and homology data share: the decorated
-    diagram, its trace, the -1 ids and the subcritical +1 ids in canonical
-    order, and per unordered pair of distinct components the signed
-    linking number and the geometric pass count (crossings / 2)."""
+    """The pass that linking and homology data share: the trace of the
+    decorated diagram, the -1 ids and the subcritical +1 ids in canonical
+    order, per unordered pair of distinct components the signed linking
+    number and the geometric pass count (crossings / 2), and the tb of
+    each -1 component, all read from one tally."""
     if d.spin != 0:
         raise InvariantError(f"{what} data is defined for spin 0 only")
     if not d.attrs:
@@ -215,17 +222,15 @@ def _surgery_data(d, what):
         for c in tr.components
         if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
     ]
-    lk = {}
-    geo = {}
-    for (_i, cf, cb, sign) in crossing_data(d, tr):
-        if cf == cb:
-            continue
-        key = (min(cf, cb), max(cf, cb))
-        lk[key] = lk.get(key, 0) + sign
-        geo[key] = geo.get(key, 0) + 1
-    linking = {key: v // 2 for key, v in lk.items()}
-    passes = {key: v // 2 for key, v in geo.items()}
-    return d, tr, minus, plus_sub, linking, passes
+    tally = _tally(d, tr)
+    linking = {}
+    passes = {}
+    for (a, b), crossings in tally[1].items():
+        if a != b:
+            linking[(a, b)] = sum(sign for _i, sign in crossings) // 2
+            passes[(a, b)] = len(crossings) // 2
+    tb = {cid: _classical(tally, cid).tb for cid in minus}
+    return tr, minus, plus_sub, linking, passes, tb
 
 
 def linking_matrix(d):
@@ -236,7 +241,7 @@ def linking_matrix(d):
     ``over_ones`` counts geometric passes of each -1 component over each
     subcritical +1 unknot (crossings with it / 2).
     """
-    d, tr, minus, plus_sub, linking, passes = _surgery_data(d, "linking")
+    tr, minus, plus_sub, linking, passes, tb = _surgery_data(d, "linking")
     for cid in minus:
         if not tr.components[cid - 1].closed:
             raise InvariantError(f"-1 component {cid} is open")
@@ -244,8 +249,7 @@ def linking_matrix(d):
     size = len(minus)
     matrix = [[0] * size for _ in range(size)]
     for a in range(size):
-        inv = classical_invariants(d, minus[a], tr)
-        matrix[a][a] = inv.tb - 1
+        matrix[a][a] = tb[minus[a]] - 1
         for b in range(a + 1, size):
             key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
             matrix[a][b] = matrix[b][a] = linking.get(key, 0)
@@ -270,7 +274,7 @@ def homology_presentation(d):
     torsion and full rank; degenerate presentations report their free rank
     as trailing zeros.
     """
-    d, tr, minus, plus_sub, linking, _passes = _surgery_data(d, "homology")
+    tr, minus, plus_sub, linking, _passes, tb = _surgery_data(d, "homology")
     order = plus_sub + minus
     index = {cid: k for k, cid in enumerate(order)}
     size = len(order)
@@ -279,8 +283,9 @@ def homology_presentation(d):
 
     m = [[0] * size for _ in range(size)]
     for cid in minus:
-        inv = classical_invariants(d, cid, tr)
-        m[index[cid]][index[cid]] = inv.tb - 1
+        if not tr.components[cid - 1].closed:
+            raise InvariantError(f"component {cid} is open")
+        m[index[cid]][index[cid]] = tb[cid] - 1
     for a in range(size):
         for b in range(a + 1, size):
             ca, cb_ = order[a], order[b]

@@ -34,7 +34,7 @@ from .diagram import (
     strand_counts,
     trace_components,
 )
-from .invariants import all_classical_invariants, handle_census
+from .invariants import _all_classical, _tally, handle_census
 from .wordops import (
     MoveError,
     _try_swap,
@@ -441,19 +441,11 @@ def _slide_back(d, moving, over, site):
     over2 = res.old_to_new.get(over)
     _require(over2 is not None, "the surgery component vanished")
 
+    cusps, pairs = _tally(d2, tr2)
+
     def profile(cid):
-        left, right = _component_cusp_counts(d2, tr2, cid)
-        selfx = withover = 0
-        for k, ev in enumerate(d2.events):
-            if ev.kind != "X":
-                continue
-            ca = tr2.seg_comp[(k, ev.pos)]
-            cb = tr2.seg_comp[(k, ev.pos + 1)]
-            if ca == cb == cid:
-                selfx += 1
-            elif {ca, cb} == {cid, over2}:
-                withover += 1
-        return left, right, selfx, withover
+        withover = pairs.get((min(cid, over2), max(cid, over2)), ())
+        return (*cusps[cid][:2], len(pairs.get((cid, cid), ())), len(withover))
 
     oleft, oright, oself, _ = profile(over2)
     want = (oleft, oright, oself, oleft + oright + 2 * oself)
@@ -532,34 +524,16 @@ def crossing_change(d, site, mode="primitive"):
 # ---------------------------------------------------------------------------
 
 
-def _component_cusp_counts(d, tr, cid):
-    left = right = 0
-    for i, ev in enumerate(d.events):
-        if ev.kind == "X":
-            continue
-        gap = i + 1 if ev.kind == "L" else i
-        if tr.seg_comp[(gap, ev.pos)] == cid:
-            if ev.kind == "L":
-                left += 1
-            else:
-                right += 1
-    return left, right
-
-
-def _pair_crossings(d, tr, a, b):
-    """(mutual crossing indices, self crossing count, third-party count)."""
-    mutual, selfc, third = [], 0, 0
-    for i, ev in enumerate(d.events):
-        if ev.kind != "X":
-            continue
-        ca = tr.seg_comp[(i, ev.pos)]
-        cb = tr.seg_comp[(i, ev.pos + 1)]
-        if {ca, cb} == {a, b} and ca != cb:
-            mutual.append(i)
-        elif ca == cb and ca in (a, b):
-            selfc += 1
-        elif (ca in (a, b)) != (cb in (a, b)):
-            third += 1
+def _pair_crossings(pairs, a, b):
+    """(mutual crossing indices, self crossing count, third-party count) of
+    two distinct components, read from the crossing pairs of a tally."""
+    mutual = [i for i, _sign in pairs.get((min(a, b), max(a, b)), ())]
+    selfc = len(pairs.get((a, a), ())) + len(pairs.get((b, b), ()))
+    third = sum(
+        len(crossings)
+        for (x, y), crossings in pairs.items()
+        if (x in (a, b)) != (y in (a, b))
+    )
     return mutual, selfc, third
 
 
@@ -591,14 +565,14 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
         f"component {np1_handle} has no dashed link to {n_handle} (convention (3))",
     )
     tr = trace_components(d)
+    cusps, pairs = _tally(d, tr)
     for cid in (n_handle, np1_handle):
         _require(tr.components[cid - 1].closed, f"component {cid} is open (TB pattern)")
-        left, right = _component_cusp_counts(d, tr, cid)
         _require(
-            left == 1 and right == 1,
+            cusps[cid][:2] == [1, 1],
             f"component {cid} is not a plain unknot front (TB pattern)",
         )
-    mutual, selfc, third = _pair_crossings(d, tr, n_handle, np1_handle)
+    mutual, selfc, third = _pair_crossings(pairs, n_handle, np1_handle)
     _require(selfc == 0, "TB pair must be embedded parallel push-offs")
     _require(third == 0, "a third component interleaves the TB pair")
     _require(len(mutual) == 2, "TB pair must cross exactly twice (push-off clasp)")
@@ -660,12 +634,12 @@ def birth_cancel_pair(d, site, direction="birth"):
             am.coefficient == COEFF_MINUS, f"component {minus} is not a -1 handle"
         )
         tr = trace_components(d)
-        left, right = _component_cusp_counts(d, tr, plus)
+        cusps, pairs = _tally(d, tr)
         _require(
-            left == 1 and right == 1 and tr.components[plus - 1].closed,
+            cusps[plus][:2] == [1, 1] and tr.components[plus - 1].closed,
             f"component {plus} is not a plain unknot front",
         )
-        mutual, selfc, third = _pair_crossings(d, tr, plus, minus)
+        mutual, _selfc, third = _pair_crossings(pairs, plus, minus)
         _require(third == 0, "a third component interleaves the cancelling pair")
         _require(
             len(mutual) == 2,
@@ -691,8 +665,8 @@ def witness_subcritical(d, cid):
         f"component {cid} is not a subcritical +1 unknot",
     )
     tr = trace_components(d)
-    left, right = _component_cusp_counts(d, tr, cid)
-    _require(left == 1 and right == 1, f"component {cid} is not an unknot front")
+    cusps, _pairs = _tally(d, tr)
+    _require(cusps[cid][:2] == [1, 1], f"component {cid} is not an unknot front")
     return MoveResult(d, {c.cid: c.cid for c in tr.components})
 
 
@@ -859,7 +833,7 @@ def _invariant_fingerprint(d):
         if all(c.closed for c in tr.components):
             per = sorted(
                 (inv.tb, inv.rot, d.attrs[cid - 1].coefficient if d.attrs else 0)
-                for cid, inv in all_classical_invariants(d).items()
+                for cid, inv in _all_classical(d, tr).items()
             )
             finger.append(tuple(per))
     return tuple(finger)

@@ -109,16 +109,18 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
 def erase_components(d, cids, tr=None):
     """Erase every event and strand of the given closed components.
 
-    Crossings between an erased and a kept component are rejected: the
-    erased components must not be interleaved with the rest.  ``tr`` is the
-    trace of ``d``, or None to trace it here.
+    A component open at either wall is refused.  Crossings between an
+    erased and a kept component are rejected: the erased components must
+    not be interleaved with the rest.  ``tr`` is the trace of ``d``, or None
+    to trace it here.
     """
     tr = tr or trace_components(d)
     dead = set(cids)
-    for s in range(1, tr.counts[0] + 1):
-        c = tr.seg_comp[(0, s)]
-        if c in dead:
-            raise MoveError(f"component {c} is open; only closed components erase")
+    for gap in (0, len(d.events)):  # the left wall, then the right wall
+        for s in range(1, tr.counts[gap] + 1):
+            c = tr.seg_comp[(gap, s)]
+            if c in dead:
+                raise MoveError(f"component {c} is open; only closed components erase")
     for i, ev in enumerate(d.events):
         if ev.kind == "X" and (tr.seg_comp[(i, ev.pos)] in dead) != (
             tr.seg_comp[(i, ev.pos + 1)] in dead

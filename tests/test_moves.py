@@ -329,6 +329,23 @@ def test_cancel_rejects_double_threading():
         birth_cancel_pair(twice, site_at(0, 1, components=(1, 2)), "cancel")
 
 
+def test_cancel_refuses_a_minus_component_open_at_the_right_wall():
+    # a +1 unknot clasped once by a -1 arc that runs from the right wall
+    # back to it: every pair precondition holds, but the arc cannot erase
+    events = word(("L", 1), ("L", 3), ("X", 2), ("X", 2), ("R", 3))
+    d = default_attrs(FrontDiagram(events=events))
+    minus, plus = d.attrs
+    d = replace(
+        d,
+        attrs=(
+            replace(minus, coefficient=COEFF_MINUS),
+            replace(plus, coefficient=COEFF_PLUS),
+        ),
+    )
+    with pytest.raises(MoveError, match="component 1 is open"):
+        birth_cancel_pair(d, site_at(0, 1, components=(2, 1)), "cancel")
+
+
 def test_witness_subcritical():
     d = FrontDiagram(name="e")
     b = birth_cancel_pair(d, site_at(0, 1), "birth").diagram

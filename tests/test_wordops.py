@@ -222,6 +222,13 @@ def test_erase_components_rejects_interleaving():
         erase_components(c, [1])
 
 
+def test_erase_components_rejects_a_component_open_at_the_right_wall():
+    # L1 X1 is one component running from the right wall back to it
+    d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("X", 1))))
+    with pytest.raises(MoveError, match="component 1 is open"):
+        erase_components(d, [1])
+
+
 def test_erase_components_plain():
     d = default_attrs(
         FrontDiagram(
@@ -309,6 +316,19 @@ def _oracle_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None
         d, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
     )
     return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _expected_erase_components(d, cids):
+    """The oracle, except that a component open at the right wall only is
+    refused like one open at the left wall, which the oracle erased."""
+    tr = trace_components(d)
+    dead = set(cids)
+    for gap in (0, len(d.events)):
+        for s in range(1, tr.counts[gap] + 1):
+            c = tr.seg_comp[(gap, s)]
+            if c in dead:
+                raise MoveError(f"component {c} is open; only closed components erase")
+    return _oracle_erase_components(d, cids)
 
 
 def _oracle_erase_components(d, cids, name=None):
@@ -754,8 +774,8 @@ def test_rewrites_match_parent_oracles(monkeypatch):
         cids = [c.cid for c in tr.components]
         for k in (1, 2, 3):
             for sub in combinations(cids, k):
-                pairs.append((erase_components, _oracle_erase_components, (d, sub)))
-        pairs.append((erase_components, _oracle_erase_components, (d, [0])))
+                pairs.append((erase_components, _expected_erase_components, (d, sub)))
+        pairs.append((erase_components, _expected_erase_components, (d, [0])))
         for comp in tr.components:
             segs = set(comp.segments)
             pairs.append((erase_segments, _oracle_erase_segments, (d, segs)))
