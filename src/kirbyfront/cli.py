@@ -187,8 +187,11 @@ def cmd_ribbon(args):
 
 def cmd_verify(args):
     ids = sorted(SCENARIOS) if args.all else [args.scenario]
+    known = f"known ids: {', '.join(sorted(SCENARIOS))}"
     if ids == [None]:
-        return _fail("verify needs a scenario id or --all", EXIT_IO)
+        return _fail(f"verify needs a scenario id or --all; {known}", EXIT_PRECONDITION)
+    if ids[0] not in SCENARIOS:
+        return _fail(f"unknown scenario {ids[0]!r}; {known}", EXIT_PRECONDITION)
     reports = [verify_scenario(i) for i in ids]
     ok = all(r["pass"] for r in reports)
     if args.json:

@@ -201,8 +201,10 @@ class Trace:
     """The component structure of one word.
 
     A move traces its input once and hands that trace by reference to the
-    rewrites it calls, which hand back the trace of their output: a trace
-    is shared, so it must not be mutated.
+    rewrites it calls, which hand back the trace of their output; and
+    :func:`trace_components` hands the trace of the last word it traced to
+    every later call on that word.  A trace is shared, also across calls,
+    so it must not be mutated.
     """
 
     seg_comp: dict  # (gap, slot) -> cid
@@ -254,6 +256,10 @@ def _walk(kinds, poss, nev, gap, slot, direction, home):
         path.append((gap, slot, direction))
 
 
+# (left_count, events, trace) of the last word trace_components traced
+_last = (None, None, None)
+
+
 def trace_components(d):
     """Trace strand segments into components.
 
@@ -261,7 +267,21 @@ def trace_components(d):
     segment, ordered by (gap, slot); each closed component is traversed
     starting at that segment heading rightward, each open one from wall to
     wall through that segment heading rightward.
+
+    The trace of the last word traced is kept, so tracing it again, as the
+    next move does with the previous move's output, returns that same
+    trace.
     """
+    global _last
+    left_count, events, tr = _last
+    if left_count == d.left_count and (events is d.events or events == d.events):
+        return tr
+    tr = _trace(d)
+    _last = (d.left_count, d.events, tr)
+    return tr
+
+
+def _trace(d):
     events = d.events
     counts = strand_counts(events, d.left_count)
     nev = len(events)

@@ -271,59 +271,42 @@ def double_component(d, cid, side, tr=None):
 # ---------------------------------------------------------------------------
 
 
-def _delta(ev):
-    return 2 if ev.kind == "L" else -2 if ev.kind == "R" else 0
+# Rank codes of the event kinds, as the bubble compares them
+_RANK = {"L": 0, "X": 1, "R": 2}
+_KINDS = "LXR"
+_L, _R = _RANK["L"], _RANK["R"]
+# strand count change across an event, by rank code
+_DELTA = (2, 0, -2)
 
 
-def _try_swap(a, b):
-    """If adjacent events a, b (a first) act on disjoint strands, return
-    (b', a') with positions adjusted for the swapped order; else None.
+def _swap_codes(ak, ap, bk, bp):
+    """If adjacent events a, b (a first, as rank code and position) act on
+    disjoint strands, return (bk, bp', ak, ap') for the swapped order b', a'
+    with positions adjusted; else None.
 
     An insertion (L) only has a position, not a strand support, so it
     commutes whenever its landing point does not fall inside the pair the
     other event acts on.
     """
-    alo, ahi = a.pos, a.pos + 1
-    if b.kind == "L":
-        q = b.pos
-        if a.kind == "L":
-            if q <= alo:
-                return Event("L", q), Event("L", a.pos + 2)
-            if q >= alo + 2:
-                return Event("L", q - 2), Event("L", a.pos)
-            return None
-        if a.kind == "X":
-            if q <= alo:
-                return Event("L", q), Event("X", a.pos + 2)
-            if q >= alo + 2:
-                return Event("L", q), Event("X", a.pos)
-            return None
-        # a.kind == "R": an insertion at or below the cap lands under the
-        # capped pair; above it, lift past the two vanishing slots
-        if q <= alo:
-            return Event("L", q), Event("R", a.pos + 2)
-        return Event("L", q + 2), Event("R", a.pos)
-    if a.kind == "L":
-        if b.pos + 1 < alo:
-            return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
-        if b.pos > ahi:
-            return Event(b.kind, b.pos - 2), Event(a.kind, a.pos)
-        return None
-    if a.kind == "R":
-        if b.pos + 1 < alo:
-            return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
-        if b.pos >= alo:
-            return Event(b.kind, b.pos + 2), Event(a.kind, a.pos)
-        return None
-    blo, bhi = b.pos, b.pos + 1
-    if bhi < alo:
-        return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
-    if blo > ahi:
-        return Event(b.kind, b.pos), Event(a.kind, a.pos)
+    # b passes under a: it lands at or below a's slot, or acts on strands
+    # below a's pair, and a shifts by b's change in strand count
+    if bp <= (ap if bk == _L else ap - 2):
+        return bk, bp, ak, ap + _DELTA[bk]
+    # b passes over a: it clears a's pair (a cap's pair is gone after it),
+    # and shifts back by a's change in strand count
+    if bp >= (ap if ak == _R else ap + 2):
+        return bk, bp - _DELTA[ak], ak, ap
     return None
 
 
-_RANK = {"L": 0, "X": 1, "R": 2}
+def _try_swap(a, b):
+    """If adjacent events a, b (a first) act on disjoint strands, return
+    (b', a') with positions adjusted for the swapped order; else None."""
+    swapped = _swap_codes(_RANK[a.kind], a.pos, _RANK[b.kind], b.pos)
+    if swapped is None:
+        return None
+    bk, bp, ak, ap = swapped
+    return Event(_KINDS[bk], bp), Event(_KINDS[ak], ap)
 
 
 def exchange_canonical(d):
@@ -333,25 +316,30 @@ def exchange_canonical(d):
     neighbouring pair acts on disjoint strands; attributes are transported
     exactly via the event permutation.
     """
-    events = list(d.events)
-    perm = list(range(len(events)))  # perm[i] = original index of events[i]
-    n = len(events)
+    kinds = [_RANK[e.kind] for e in d.events]
+    poss = [e.pos for e in d.events]
+    n = len(kinds)
+    perm = list(range(n))  # perm[i] = original index of event i
     for _ in range(n * n + 1):
         changed = False
-        for i in range(len(events) - 1):
-            a, b = events[i], events[i + 1]
-            swapped = _try_swap(a, b)
+        for i in range(n - 1):
+            ak, ap = kinds[i], poss[i]
+            swapped = _swap_codes(ak, ap, kinds[i + 1], poss[i + 1])
             if swapped is None:
                 continue
-            b2, a2 = swapped
-            if (b2.pos, _RANK[b2.kind]) < (a.pos, _RANK[a.kind]):
-                events[i], events[i + 1] = b2, a2
+            # swap when b', now first, has a lower (pos, rank) key than a
+            if (swapped[1], swapped[0]) < (ap, ak):
+                kinds[i], poss[i], kinds[i + 1], poss[i + 1] = swapped
                 perm[i], perm[i + 1] = perm[i + 1], perm[i]
                 changed = True
         if not changed:
             break
+    # a swap keeps each event's kind, so an event that kept its position
+    # is the original object
+    moved = (d.events[k] for k in perm)
+    events = tuple(e if e.pos == p else Event(e.kind, p) for e, p in zip(moved, poss))
     if not d.attrs:
-        return replace(d, events=tuple(events))
+        return replace(d, events=events)
     # Left-wall segments stay put, and the lower strand born at new event j
     # is the one born at old event perm[j]: every component has one or the
     # other.

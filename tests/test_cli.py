@@ -179,7 +179,16 @@ def test_verify_all(capsys):
 
 
 def test_verify_unknown_scenario(capsys):
-    assert main(["verify", "nope"]) == 3
+    assert main(["verify", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown scenario 'nope'" in err and "cieliebak" in err
+
+
+def test_verify_missing_scenario(capsys):
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert "verify needs a scenario id or --all" in err
+    assert all(i in err for i in SCENARIOS)
 
 
 def test_verify_reports_an_engine_bug_as_an_error(monkeypatch):

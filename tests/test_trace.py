@@ -1,6 +1,7 @@
 """The component trace: a differential test of ``trace_components`` against
-the dict-based walk it replaced, and a check that no move traces one word
-twice."""
+the dict-based walk it replaced, a check that no move traces one word
+twice, and checks that the one-entry memo returns what a fresh trace
+returns and spares the next move a trace of the previous move's output."""
 
 import random
 import sys
@@ -22,12 +23,18 @@ from kirbyfront.diagram import (
     trace_components,
 )
 from kirbyfront.families import cieliebak_diagram, torus_knot_2q
+from kirbyfront.invariants import (
+    classical_invariants,
+    homology_presentation,
+    linking_matrix,
+)
 from kirbyfront.moves import (
     MoveError,
     birth_cancel_pair,
     clasp,
     crossing_change,
     handleslide,
+    normalize,
     reidemeister,
     site_at,
     stabilize,
@@ -40,6 +47,7 @@ from kirbyfront.wordops import (
 )
 
 from conftest import random_diagram
+from test_templates import _kinked
 from test_wordops import _corpus, _result, _splices
 
 # ---------------------------------------------------------------------------
@@ -331,3 +339,144 @@ def test_no_move_traces_a_word_twice(traced, spin):
         clasped = clasp(d, site_at(2, 2), "clasp").diagram
         out = traced(crossing_change, clasped, site_at(2, 2)).diagram
         assert traced(crossing_change, out, site_at(2, 2)).diagram == clasped
+
+
+# ---------------------------------------------------------------------------
+# The memo: the last word traced
+# ---------------------------------------------------------------------------
+
+
+def _one_event_changed(rng, d):
+    """``d`` with one event moved up a slot or given another kind (most such
+    words are invalid)."""
+    i = rng.randrange(len(d.events))
+    e = d.events[i]
+    new = rng.choice((Event(e.kind, e.pos + 1), Event("X" if e.kind != "X" else "L", e.pos)))
+    return replace(d, events=d.events[:i] + (new,) + d.events[i + 1 :])
+
+
+def test_memo_returns_what_a_fresh_trace_returns():
+    """Every call, hit or miss, gives the fields of a fresh ``_trace``; a hit
+    is the stored trace, found also from new Event objects; another wall or
+    one changed event misses; an invalid word raises each time and keeps
+    the stored trace."""
+    rng = random.Random(8080)
+    words = _inputs()
+    rng.shuffle(words)
+    bad = FrontDiagram(events=(Event("R", 1),))
+    hits = misses = 0
+    for d in words:
+        if isinstance(_outcome(diagram._trace, d)[0], str):
+            assert _outcome(trace_components, d) == _outcome(diagram._trace, d)
+            continue
+        tr = trace_components(d)
+        copy = replace(d, name="copy", events=tuple(Event(e.kind, e.pos) for e in d.events))
+        assert trace_components(copy) is tr
+        hits += 1
+        others = [replace(d, left_count=d.left_count + 2)]
+        if d.events:
+            others.append(_one_event_changed(rng, d))
+        for other in others:
+            got = _outcome(trace_components, other)
+            assert got == _outcome(diagram._trace, other), (other.left_count, other.word())
+            # a valid other word replaced the entry; an invalid one left it
+            valid = not isinstance(got[0], str)
+            assert (trace_components(d) is tr) != valid
+            misses += valid
+            tr = trace_components(d)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="event 1 \\(R1\\)"):
+                trace_components(bad)
+        assert trace_components(d) is tr
+        assert _outcome(trace_components, d) == _outcome(diagram._trace, d)
+    assert hits > 2500 and misses > 4000
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The words ``diagram._trace`` computes, as (left_count, events)."""
+    words = []
+    orig = diagram._trace
+
+    def counting(d):
+        words.append((d.left_count, d.events))
+        return orig(d)
+
+    monkeypatch.setattr(diagram, "_trace", counting)
+    return words
+
+
+@pytest.mark.parametrize("spin", [0, 1])
+def test_an_inverse_move_computes_no_trace_of_its_input(computed, spin):
+    """Each forward move of the call-count list above leaves its output's
+    trace in the memo, so the inverse move applied next traces it for
+    free."""
+    d = _two_unknots(spin)
+
+    def cancel(born):
+        plus, minus = sorted(
+            born.fresh, key=lambda c: -born.diagram.attrs[c - 1].coefficient
+        )
+        site = site_at(0, 1, components=(plus, minus))
+        return birth_cancel_pair(born.diagram, site, "cancel")
+
+    def slide_back(slid):
+        width = 3 if spin == 0 else 4
+        j = _junction(slid.diagram.events, width)
+        site = site_at(j, slid.diagram.events[j].pos, e1=j + width)
+        moving, over = slid.old_to_new[1], slid.old_to_new[2]
+        return handleslide(slid.diagram, moving, over, "minus_down", site)
+
+    trips = [
+        (
+            lambda: clasp(d, site_at(1, 1), "clasp"),
+            lambda r: clasp(r.diagram, site_at(1, 1), "unclasp"),
+        ),
+        (
+            lambda: stabilize(d, 1, site_at(1, 1), "stabilize"),
+            lambda r: stabilize(r.diagram, 1, site_at(1, 1), "destabilize"),
+        ),
+        (lambda: birth_cancel_pair(d, site_at(2, 1), "birth"), cancel),
+        (lambda: handleslide(d, 1, 2, "minus_up", site_at(2, 2)), slide_back),
+    ]
+    for move, variant, site in (("R1", 1, site_at(1, 1)), ("R2", 1, site_at(1, 2))):
+        trips.append(
+            (
+                lambda move=move, variant=variant, site=site: reidemeister(
+                    d, move, site, variant=variant
+                ),
+                lambda r, move=move, variant=variant, site=site: reidemeister(
+                    r.diagram, move, site, variant=variant, direction="reverse"
+                ),
+            )
+        )
+    start = d
+    if spin == 0:
+        start = clasp(d, site_at(2, 2), "clasp").diagram
+        trips.append(
+            (
+                lambda: crossing_change(start, site_at(2, 2)),
+                lambda r: crossing_change(r.diagram, site_at(2, 2)),
+            )
+        )
+    for forward, inverse in trips:
+        res = forward()
+        out = res.diagram
+        computed.clear()
+        back = inverse(res).diagram
+        assert (out.left_count, out.events) not in computed, computed
+        assert back.events in (d.events, start.events)
+
+
+def test_invariants_after_normalize_compute_no_trace(computed):
+    """normalize leaves the trace of its output in the memo, and the three
+    invariants of that output read it."""
+    rng = random.Random(2024)
+    for k in range(-2, 3):
+        for m in (20, 31, 40):
+            n = normalize(_kinked(rng, cieliebak_diagram(k, m), 4))
+            computed.clear()
+            classical_invariants(n, 1)
+            linking_matrix(n)
+            homology_presentation(n)
+            assert computed == []

@@ -27,12 +27,11 @@ from kirbyfront.diagram import (
     validate_diagram,
 )
 from kirbyfront.invariants import classical_invariants, crossing_data, handle_census
-from kirbyfront.moves import normalize, reidemeister, site_at
+from kirbyfront.families import cieliebak_diagram
+from kirbyfront.moves import exchange, normalize, reidemeister, site_at
 from kirbyfront.wordops import (
-    _RANK,
     MoveError,
     Rewrite,
-    _try_swap,
     double_component,
     erase_components,
     erase_segments,
@@ -41,7 +40,8 @@ from kirbyfront.wordops import (
     splice,
 )
 
-from conftest import random_diagram
+from conftest import random_closed_word, random_diagram
+from test_templates import _kinked
 
 
 @st.composite
@@ -541,6 +541,61 @@ def _oracle_double_component(d, cid, side, name=None):
     return rw, fresh[0], gap_map
 
 
+def _delta(ev):
+    return 2 if ev.kind == "L" else -2 if ev.kind == "R" else 0
+
+
+def _oracle_try_swap(a, b):
+    """If adjacent events a, b (a first) act on disjoint strands, return
+    (b', a') with positions adjusted for the swapped order; else None.
+
+    An insertion (L) only has a position, not a strand support, so it
+    commutes whenever its landing point does not fall inside the pair the
+    other event acts on.
+    """
+    alo, ahi = a.pos, a.pos + 1
+    if b.kind == "L":
+        q = b.pos
+        if a.kind == "L":
+            if q <= alo:
+                return Event("L", q), Event("L", a.pos + 2)
+            if q >= alo + 2:
+                return Event("L", q - 2), Event("L", a.pos)
+            return None
+        if a.kind == "X":
+            if q <= alo:
+                return Event("L", q), Event("X", a.pos + 2)
+            if q >= alo + 2:
+                return Event("L", q), Event("X", a.pos)
+            return None
+        # a.kind == "R": an insertion at or below the cap lands under the
+        # capped pair; above it, lift past the two vanishing slots
+        if q <= alo:
+            return Event("L", q), Event("R", a.pos + 2)
+        return Event("L", q + 2), Event("R", a.pos)
+    if a.kind == "L":
+        if b.pos + 1 < alo:
+            return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
+        if b.pos > ahi:
+            return Event(b.kind, b.pos - 2), Event(a.kind, a.pos)
+        return None
+    if a.kind == "R":
+        if b.pos + 1 < alo:
+            return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
+        if b.pos >= alo:
+            return Event(b.kind, b.pos + 2), Event(a.kind, a.pos)
+        return None
+    blo, bhi = b.pos, b.pos + 1
+    if bhi < alo:
+        return Event(b.kind, b.pos), Event(a.kind, a.pos + _delta(b))
+    if blo > ahi:
+        return Event(b.kind, b.pos), Event(a.kind, a.pos)
+    return None
+
+
+_RANK = {"L": 0, "X": 1, "R": 2}
+
+
 def _oracle_exchange_canonical(d):
     events = list(d.events)
     perm = list(range(len(events)))  # perm[i] = original index of events[i]
@@ -549,7 +604,7 @@ def _oracle_exchange_canonical(d):
         changed = False
         for i in range(len(events) - 1):
             a, b = events[i], events[i + 1]
-            swapped = _try_swap(a, b)
+            swapped = _oracle_try_swap(a, b)
             if swapped is None:
                 continue
             b2, a2 = swapped
@@ -802,3 +857,58 @@ def test_rewrites_match_parent_oracles(monkeypatch):
                 _assert_orientation_transported(d, transports[-1], out, sign)
                 oriented += 1
     assert cases > 4000 and errors > 1000 and oriented > 2000
+
+
+def _long_word(rng):
+    """A decorated closed word of 100-200 events on at most 6 strands."""
+    while True:
+        events = random_closed_word(rng, max_events=201)
+        if 100 <= len(events) <= 200:
+            return _decorate(rng, FrontDiagram(name="long", events=events))
+
+
+def test_exchange_matches_the_oracle_on_tall_and_long_words(monkeypatch):
+    """The integer bubble and the Event-based oracle give the same word and
+    attributes on the kinked W^k_m that normalize canonicalizes, which the
+    bubble makes tall, and on long random words."""
+    transports = []
+
+    def recording(d, old_trace, new_trace, seg_map, *args, **kwargs):
+        transports.append((old_trace, new_trace, seg_map))
+        return _attrs_from_map(d, old_trace, new_trace, seg_map, *args, **kwargs)
+
+    monkeypatch.setattr(wordops, "_attrs_from_map", recording)
+    rng = random.Random(1010)
+    words = [
+        _kinked(rng, cieliebak_diagram(k, m), 4) for k in range(-2, 3) for m in range(20, 41)
+    ]
+    words += [_long_word(rng) for _ in range(30)]
+    tallest = 0
+    for d in words:
+        transports.clear()
+        got = exchange_canonical(d)
+        assert _unoriented(got) == _unoriented(_oracle_exchange_canonical(d)), d.word()
+        _assert_orientation_transported(d, transports[-1], got, 1)
+        tallest = max(tallest, max(strand_counts(got.events, 0)))
+    assert tallest >= 40
+
+
+def test_exchange_move_matches_the_oracle_at_every_pair():
+    """``moves.exchange`` swaps exactly the pairs the oracle swaps, to the
+    oracle's events, with the attributes a splice of them carries."""
+    rng = random.Random(1011)
+    swaps = refusals = 0
+    for _ in range(100):
+        d = _decorate(rng, random_diagram(rng, max_events=16))
+        for i in range(len(d.events) - 1):
+            got = _result(exchange, d, site_at(i, 1))
+            swapped = _oracle_try_swap(*d.events[i : i + 2])
+            if swapped is None:
+                assert isinstance(got, tuple) and got[0] == "MoveError"
+                refusals += 1
+                continue
+            want = _result(_oracle_splice, d, i, i + 2, swapped)
+            assert _unoriented(got.diagram) == _unoriented(want[0]), (d.word(), i)
+            assert got.diagram.events[i : i + 2] == swapped
+            swaps += 1
+    assert swaps > 300 and refusals > 300
