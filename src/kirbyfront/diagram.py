@@ -200,11 +200,10 @@ class TracedComponent:
 class Trace:
     """The component structure of one word.
 
-    A move traces its input once and hands that trace by reference to the
-    rewrites it calls, which hand back the trace of their output; and
-    :func:`trace_components` hands the trace of the last word it traced to
-    every later call on that word.  A trace is shared, also across calls,
-    so it must not be mutated.
+    A trace is shared only through the memo of :func:`trace_components`,
+    which hands the trace of the last word it traced to every later call on
+    that word; no function takes or returns one otherwise.  A shared trace
+    must not be mutated.
     """
 
     seg_comp: dict  # (gap, slot) -> cid
@@ -380,8 +379,6 @@ def mirror(d):
         left_count=right_count(d),
         events=mirror_events(d.events),
     )
-    if not d.attrs:
-        return mirrored
     # Segment (g, s) of d is segment (nev - g, s) of the mirror.
     nev = len(d.events)
     old = trace_components(d)
@@ -440,6 +437,11 @@ def validate_diagram(d):
 
 _EVENT_LETTERS = {"L", "X", "R"}
 
+# The most strand segments, summed over the gaps, that a parsed word may
+# have.  A trace costs about 300 bytes per segment, so this keeps a parse
+# under 1 GiB.
+MAX_SEGMENTS = 1_000_000
+
 
 def parse_front(text):
     """Parse the line-oriented ``.front`` format.
@@ -456,7 +458,8 @@ def parse_front(text):
                           [dashed <label> ...] [orient (fwd|bwd)]
 
     Component lines bind positionally: the i-th line decorates the i-th
-    component in canonical trace order.
+    component in canonical trace order.  A word with more than
+    :data:`MAX_SEGMENTS` strand segments is refused before it is traced.
     """
     dname = "d"
     spin = 0
@@ -477,10 +480,15 @@ def parse_front(text):
                 in_events = False
                 continue
             for tok in tokens:
-                kind = tok[0].upper()
-                if kind not in _EVENT_LETTERS or not tok[1:].isdigit():
+                kind, num = tok[0].upper(), tok[1:]
+                if kind not in _EVENT_LETTERS or not num.isdigit() or int(num) < 1:
                     raise ParseError(f"bad event token {tok!r}", lineno)
-                events.append(Event(kind, int(tok[1:])))
+                events.append(Event(kind, int(num)))
+            # each event borders a gap of at least two strands, and each
+            # gap borders at most two events: a word has no more events
+            # than segments, so a longer one is refused before it is read
+            if len(events) > MAX_SEGMENTS:
+                raise ParseError(f"more than {MAX_SEGMENTS} events", lineno)
             continue
         if head == "diagram":
             if len(tokens) != 2:
@@ -510,9 +518,14 @@ def parse_front(text):
 
     base = FrontDiagram(name=dname, spin=spin, left_count=left, events=tuple(events))
     try:
-        tr = trace_components(base)
+        segments = sum(strand_counts(base.events, left))
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
+    if segments > MAX_SEGMENTS:
+        raise ParseError(
+            f"the word has {segments} strand segments, more than {MAX_SEGMENTS}"
+        )
+    tr = trace_components(base)
     ncomp = len(tr.components)
     if len(comp_lines) > ncomp:
         raise ParseError(

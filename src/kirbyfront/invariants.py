@@ -67,10 +67,10 @@ class LinkingData:
     over_ones: dict  # (minus id, plus-unknot id) -> geometric passes
 
 
-def crossing_data(d, tr=None):
+def crossing_data(d):
     """Per crossing event: (component of front strand, component of back
     strand, sign).  The front strand is the one moving downward."""
-    tr = tr or trace_components(d)
+    tr = trace_components(d)
     out = []
     for i, ev in enumerate(d.events):
         if ev.kind != "X":
@@ -137,14 +137,14 @@ def _classical(tally, cid):
     )
 
 
-def classical_invariants(d, cid, tr=None):
+def classical_invariants(d, cid):
     """tb, rot and the cusp/crossing counts of one closed component.
 
     Defined for spin-0 diagrams only; open components are rejected.
     """
     if d.spin != 0:
         raise InvariantError("classical invariants are defined for spin 0 only")
-    tr = tr or trace_components(d)
+    tr = trace_components(d)
     if not 1 <= cid <= len(tr.components):
         raise InvariantError(f"no component {cid}")
     if not tr.components[cid - 1].closed:
@@ -152,17 +152,14 @@ def classical_invariants(d, cid, tr=None):
     return _classical(_tally(d, tr), cid)
 
 
-def _all_classical(d, tr):
-    """:func:`all_classical_invariants` of ``d`` traced as ``tr``."""
+def all_classical_invariants(d):
+    """The :func:`classical_invariants` of every closed component, by id."""
+    tr = trace_components(d)
     closed = [c.cid for c in tr.components if c.closed]
     if closed and d.spin != 0:
         raise InvariantError("classical invariants are defined for spin 0 only")
     tally = _tally(d, tr)
     return {cid: _classical(tally, cid) for cid in closed}
-
-
-def all_classical_invariants(d):
-    return _all_classical(d, trace_components(d))
 
 
 def _classify(d, cid):
@@ -186,7 +183,7 @@ def handle_census(d):
     """Handle counts by index (the implicit 0-handle included) and Euler
     characteristic of the presented domain; n = spin + 2."""
     if not d.attrs:
-        d = _with_default_attrs(d)
+        d = default_attrs(d)
     n = d.spin + 2
     counts = {0: 1}
     for cid in range(1, len(d.attrs) + 1):
@@ -199,10 +196,6 @@ def handle_census(d):
     return HandleCensus(counts=counts, euler=euler)
 
 
-def _with_default_attrs(d):
-    return default_attrs(d)
-
-
 def _surgery_data(d, what):
     """The pass that linking and homology data share: the trace of the
     decorated diagram, the -1 ids and the subcritical +1 ids in canonical
@@ -212,7 +205,7 @@ def _surgery_data(d, what):
     if d.spin != 0:
         raise InvariantError(f"{what} data is defined for spin 0 only")
     if not d.attrs:
-        d = _with_default_attrs(d)
+        d = default_attrs(d)
     tr = trace_components(d)
     minus = [
         c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS

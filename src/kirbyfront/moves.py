@@ -21,7 +21,7 @@ R3 (triple point)     [X s, X s+1, X s] <-> [X s+1, X s, X s+1]
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .diagram import (
     COEFF_MINUS,
@@ -34,9 +34,10 @@ from .diagram import (
     strand_counts,
     trace_components,
 )
-from .invariants import _all_classical, _tally, handle_census
+from .invariants import _tally, all_classical_invariants, handle_census
 from .wordops import (
     MoveError,
+    MoveResult,
     _try_swap,
     double_component,
     erase_components,
@@ -92,13 +93,6 @@ def site_at(e0, s0, e1=None, s1=0, components=()):
     )
 
 
-@dataclass
-class MoveResult:
-    diagram: object
-    old_to_new: dict
-    fresh: list = field(default_factory=list)
-
-
 def _require(cond, message):
     if not cond:
         raise MoveError(message)
@@ -147,18 +141,15 @@ def _spin_windows(d, i0, i1, new_events):
     )
 
 
-def _spin_rewrite(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
+def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
     """:func:`splice` at the site and, on a spun diagram, at its mirror
-    site: the :class:`MoveResult` and the trace of its diagram.  ``tr`` is
-    the trace of ``d``, or None; each later window reuses the trace the
-    splice before it returned."""
+    site."""
     windows = _spin_windows(d, i0, i1, new_events)
     cur = d
     old_to_new = None
     fresh_all = []
     for (a, b, evs) in windows:
-        rw = splice(cur, a, b, evs, merge=merge, fresh_attr=fresh_attr, tr=tr)
-        tr = rw.trace
+        rw = splice(cur, a, b, evs, merge=merge, fresh_attr=fresh_attr)
         if old_to_new is None:
             old_to_new = rw.old_to_new
         else:
@@ -171,12 +162,7 @@ def _spin_rewrite(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
         fresh_all += rw.fresh
         cur = rw.diagram
     _check_spin(cur)
-    return MoveResult(cur, old_to_new, fresh_all), tr
-
-
-def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
-    """The :class:`MoveResult` of :func:`_spin_rewrite`."""
-    return _spin_rewrite(d, i0, i1, new_events, merge, fresh_attr, tr)[0]
+    return MoveResult(cur, old_to_new, fresh_all)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +222,7 @@ def stabilize(d, cid, site, direction="stabilize"):
             _strand_comp(tr, site.e0, s) == cid,
             f"strand {s} at gap {site.e0} is not component {cid}",
         )
-        return _spin_splice(d, site.e0, site.e0, _stab_template(s), tr=tr)
+        return _spin_splice(d, site.e0, site.e0, _stab_template(s))
     if direction == "destabilize":
         w = d.events[site.e0 : site.e0 + 4]
         _require(
@@ -247,7 +233,7 @@ def stabilize(d, cid, site, direction="stabilize"):
             _strand_comp(tr, site.e0, s) == cid,
             f"zigzag at the site does not belong to component {cid}",
         )
-        return _spin_splice(d, site.e0, site.e0 + 4, (), tr=tr)
+        return _spin_splice(d, site.e0, site.e0 + 4, ())
     raise MoveError(f"unknown stabilize direction {direction!r}")
 
 
@@ -333,9 +319,7 @@ def uplus(d, a, b, site):
         merged = _merge_union(cids, attrs)
         return replace(merged, orientation=attrs[idx].orientation)
 
-    return _spin_splice(
-        d, site.e0, site.e0, _junction_for(d, site.e0, s), merge=merge, tr=tr
-    )
+    return _spin_splice(d, site.e0, site.e0, _junction_for(d, site.e0, s), merge=merge)
 
 
 _SLIDE_VARIANTS = {
@@ -387,8 +371,9 @@ def handleslide(d, moving, over, variant, site):
     )
 
     push_side = "below" if side == "up" else "above"
-    rw, companion, gap_map = double_component(d, over, push_side, tr=tr)
-    d2, tr2 = rw.diagram, rw.trace
+    rw, companion, gap_map = double_component(d, over, push_side)
+    d2 = rw.diagram
+    tr2 = trace_components(d2)
     moving2 = rw.old_to_new[moving]
     gap = gap_map[site.e0]
     # locate the junction slot: the moving strand right next to the companion
@@ -408,7 +393,7 @@ def handleslide(d, moving, over, variant, site):
         keep = attrs[idx]
         return replace(merged, label=keep.label, orientation=keep.orientation)
 
-    res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge, tr=tr2)
+    res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge)
     res.old_to_new = {
         k: res.old_to_new[v] for k, v in rw.old_to_new.items() if v in res.old_to_new
     }
@@ -430,8 +415,9 @@ def _slide_back(d, moving, over, site):
     )
     before = handle_census(d).euler
     windows = _spin_windows(d, i, i + width, ())
-    res, tr2 = _spin_rewrite(d, i, i + width, (), tr=tr)
+    res = _spin_splice(d, i, i + width, ())
     d2 = res.diagram
+    tr2 = trace_components(d2)
     # removing the junction splits `moving`: one lane continues as the
     # surviving component, the other belongs to the freed parallel circuit
     i_final = i - sum(b - a for (a, b, _e) in windows if a < i)
@@ -460,7 +446,7 @@ def _slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, tr2.components[circuit - 1].segments, tr=tr2)
+            rw = erase_segments(d2, tr2.components[circuit - 1].segments)
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:
@@ -581,9 +567,9 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
         j == i + 1 and d.events[i].pos == d.events[j].pos,
         "the push-off crossings do not form the TB clasp",
     )
-    rw = erase_components(d, [n_handle, np1_handle], tr=tr)
+    rw = erase_components(d, [n_handle, np1_handle])
     _check_spin(rw.diagram)
-    return MoveResult(rw.diagram, rw.old_to_new)
+    return rw
 
 
 def _birth_template(s):
@@ -646,9 +632,9 @@ def birth_cancel_pair(d, site, direction="birth"):
             f"the -1 component passes over the unknot {len(mutual) // 2} times,"
             " not once",
         )
-        rw = erase_components(d, [plus, minus], tr=tr)
+        rw = erase_components(d, [plus, minus])
         _check_spin(rw.diagram)
-        return MoveResult(rw.diagram, rw.old_to_new)
+        return rw
     raise MoveError(f"unknown birth/cancel direction {direction!r}")
 
 
@@ -747,15 +733,15 @@ def reidemeister(d, move, site, variant=1, direction="forward"):
     i0 = site.e0
     i1 = i0 + len(src)
     _require(tuple(d.events[i0:i1]) == src, f"{move} site does not match the template")
-    tr = None
     if move == "R3":
-        tr = trace_components(d)
         _require(
-            not _strands_have_nodes(d, tr, i0, range(site.s0, site.s0 + 3)),
+            not _strands_have_nodes(
+                d, trace_components(d), i0, range(site.s0, site.s0 + 3)
+            ),
             "R3 across node-decorated strands is not supported (node transport"
             " under triple points is undefined)",
         )
-    return _spin_splice(d, i0, i1, dst, tr=tr)
+    return _spin_splice(d, i0, i1, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -829,11 +815,10 @@ def _invariant_fingerprint(d):
     census = handle_census(d)
     finger = [tuple(sorted(census.counts.items())), census.euler]
     if d.spin == 0:
-        tr = trace_components(d)
-        if all(c.closed for c in tr.components):
+        if all(c.closed for c in trace_components(d).components):
             per = sorted(
                 (inv.tb, inv.rot, d.attrs[cid - 1].coefficient if d.attrs else 0)
-                for cid, inv in _all_classical(d, tr).items()
+                for cid, inv in all_classical_invariants(d).items()
             )
             finger.append(tuple(per))
     return tuple(finger)

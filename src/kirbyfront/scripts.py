@@ -30,7 +30,6 @@ from .diagram import (
 from .invariants import InvariantError, classical_invariants, handle_census
 from .moves import (
     MoveError,
-    MoveResult,
     MoveSite,
     birth_cancel_pair,
     cancel_trivial_bypass,
@@ -45,7 +44,7 @@ from .moves import (
     uplus,
     witness_subcritical,
 )
-from .wordops import exchange_canonical
+from .wordops import MoveResult, exchange_canonical
 
 __all__ = ["MoveStep", "MoveScript", "ScriptError", "MOVES", "apply_step", "run_script",
            "parse_site", "parse_script", "format_script"]

@@ -16,7 +16,6 @@ from .diagram import (
     Event,
     FrontDiagram,
     MoveError,
-    Trace,
     ValidationError,
     _attrs_from_map,
     mirror_events,
@@ -26,7 +25,7 @@ from .diagram import (
 
 __all__ = [
     "MoveError",
-    "Rewrite",
+    "MoveResult",
     "splice",
     "erase_components",
     "erase_segments",
@@ -38,25 +37,25 @@ __all__ = [
 
 
 @dataclass
-class Rewrite:
-    """Result of a low-level rewrite.
+class MoveResult:
+    """Result of a rewrite or a move.
 
     ``old_to_new`` maps surviving old component ids to new ids;
-    ``fresh`` lists new component ids with no preimage (born inside);
-    ``trace`` is the trace of ``diagram``, for a caller that rewrites it
-    again.
+    ``fresh`` lists new component ids with no preimage (born inside).
     """
 
     diagram: FrontDiagram
     old_to_new: dict
-    fresh: list
-    trace: Trace = field(default=None, compare=False, repr=False)
+    fresh: list = field(default_factory=list)
 
 
-def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None):
-    """The rewrite of ``d`` (traced as ``tr``) to ``events`` on the same
-    walls, with attributes carried along ``seg_map``; an invalid word is a
-    :class:`MoveError` that starts with ``error``."""
+def _rebuild(d, events, seg_map, error, merge=None, fresh_attr=None):
+    """The rewrite of ``d`` to ``events`` on the same walls, with attributes
+    carried along ``seg_map``; an invalid word is a :class:`MoveError` that
+    starts with ``error``."""
+    # d is traced before the output, so a caller that has just traced d
+    # finds it in the memo
+    tr = trace_components(d)
     out = FrontDiagram(
         name=d.name,
         spin=d.spin,
@@ -71,16 +70,15 @@ def _rebuild(d, tr, events, seg_map, error, merge=None, fresh_attr=None):
     attrs, old_to_new, fresh = _attrs_from_map(
         d, tr, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
     )
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh, new_trace)
+    return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
-def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
+def splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
     """Replace events[i0:i1] by ``new_events``.
 
     The replacement must preserve the strand count and slot correspondence
     at both edges of the window; segments outside the window keep their
-    (gap, slot) address up to the uniform gap shift.  ``tr`` is the trace
-    of ``d``, or None to trace it here.
+    (gap, slot) address up to the uniform gap shift.
     """
     if not (0 <= i0 <= i1 <= len(d.events)):
         raise MoveError(f"event range [{i0}, {i1}) outside the word")
@@ -90,8 +88,7 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
         new_counts = strand_counts(events, d.left_count)
     except ValidationError as exc:
         raise MoveError(f"{error}: {exc}") from exc
-    tr = tr or trace_components(d)
-    old_counts = tr.counts
+    old_counts = trace_components(d).counts
     shift = len(new_events) - (i1 - i0)
     if new_counts[i0] != old_counts[i0] or new_counts[i1 + shift] != old_counts[i1]:
         raise MoveError("rewrite does not preserve the window boundary")
@@ -103,18 +100,17 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None, tr=None):
     for g in range(i1, len(d.events) + 1):
         for s in range(1, old_counts[g] + 1):
             seg_map[(g, s)] = (g + shift, s)
-    return _rebuild(d, tr, events, seg_map, error, merge=merge, fresh_attr=fresh_attr)
+    return _rebuild(d, events, seg_map, error, merge=merge, fresh_attr=fresh_attr)
 
 
-def erase_components(d, cids, tr=None):
+def erase_components(d, cids):
     """Erase every event and strand of the given closed components.
 
     A component open at either wall is refused.  Crossings between an
     erased and a kept component are rejected: the erased components must
-    not be interleaved with the rest.  ``tr`` is the trace of ``d``, or None
-    to trace it here.
+    not be interleaved with the rest.
     """
-    tr = tr or trace_components(d)
+    tr = trace_components(d)
     dead = set(cids)
     for gap in (0, len(d.events)):  # the left wall, then the right wall
         for s in range(1, tr.counts[gap] + 1):
@@ -127,19 +123,17 @@ def erase_components(d, cids, tr=None):
         ):
             raise MoveError("erased component crosses a kept component (interleaved)")
     segs = {seg for seg, c in tr.seg_comp.items() if c in dead}
-    return erase_segments(d, segs, tr)
+    return erase_segments(d, segs)
 
 
-def erase_segments(d, segs, tr=None):
+def erase_segments(d, segs):
     """Erase a set of strand segments (a circuit) plus its internal events.
 
     Crossings between a circuit strand and an outside strand are removed
     (the outside strand runs straight through); cusps must join two circuit
-    strands or two outside strands.  ``tr`` is the trace of ``d``, or None
-    to trace it here.
+    strands or two outside strands.
     """
-    tr = tr or trace_components(d)
-    counts = tr.counts
+    counts = trace_components(d).counts
     dead_by_gap = {}
     for (g, s) in segs:
         dead_by_gap.setdefault(g, set()).add(s)
@@ -174,13 +168,13 @@ def erase_segments(d, segs, tr=None):
         for new_s, old_s in enumerate(live, start=1):
             seg_map[(gap, old_s)] = (len(new_events), new_s)
 
-    rw = _rebuild(d, tr, new_events, seg_map, "circuit erasure left an invalid word")
+    rw = _rebuild(d, new_events, seg_map, "circuit erasure left an invalid word")
     if rw.fresh:
         raise MoveError("circuit erasure created components out of nothing")
     return rw
 
 
-def double_component(d, cid, side, tr=None):
+def double_component(d, cid, side):
     """Insert a vertical push-off running parallel to component ``cid``.
 
     ``side`` ("below" or "above") is where the companion runs relative to
@@ -189,13 +183,12 @@ def double_component(d, cid, side, tr=None):
     each crossing with another strand two crossings; this is the two-copy
     satellite front, with lk(copy, original) = tb.
 
-    Returns (Rewrite, companion_cid, gap_map) where gap_map sends old gap
-    indices to new ones.  ``tr`` is the trace of ``d``, or None to trace it
-    here.
+    Returns (MoveResult, companion_cid, gap_map) where gap_map sends old gap
+    indices to new ones.
     """
     if side not in ("below", "above"):
         raise MoveError(f"bad push-off side {side!r}")
-    tr = tr or trace_components(d)
+    tr = trace_components(d)
     counts = tr.counts
     if not tr.components[cid - 1].closed:
         raise MoveError("only closed components admit a push-off")
@@ -260,7 +253,7 @@ def double_component(d, cid, side, tr=None):
         for s in range(1, counts[gap] + 1):
             seg_map[(gap, s)] = (gap_map[gap], mg[s])
 
-    rw = _rebuild(d, tr, new_events, seg_map, "push-off produced an invalid word")
+    rw = _rebuild(d, new_events, seg_map, "push-off produced an invalid word")
     if len(rw.fresh) != 1:
         raise MoveError("push-off did not create exactly one companion")
     return rw, rw.fresh[0], gap_map
@@ -338,8 +331,6 @@ def exchange_canonical(d):
     # is the original object
     moved = (d.events[k] for k in perm)
     events = tuple(e if e.pos == p else Event(e.kind, p) for e, p in zip(moved, poss))
-    if not d.attrs:
-        return replace(d, events=events)
     # Left-wall segments stay put, and the lower strand born at new event j
     # is the one born at old event perm[j]: every component has one or the
     # other.
@@ -347,9 +338,7 @@ def exchange_canonical(d):
     for j, ev in enumerate(events):
         if ev.kind == "L":
             seg_map[(perm[j] + 1, d.events[perm[j]].pos)] = (j + 1, ev.pos)
-    rw = _rebuild(
-        d, trace_components(d), events, seg_map, "exchange produced an invalid word"
-    )
+    rw = _rebuild(d, events, seg_map, "exchange produced an invalid word")
     if rw.fresh:
         raise MoveError("exchange canonicalization lost a component")
     return rw.diagram

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,3 +23,21 @@ def test_shared_names_are_one_object(attr):
 
     objs = {id(getattr(m, attr)) for m in (diagram, wordops, moves, kirbyfront)}
     assert len(objs) == 1
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_public_callable_takes_a_trace(name):
+    """A trace is shared only through the memo of ``trace_components``."""
+    module = importlib.import_module(f"kirbyfront.{name}")
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        assert "tr" not in inspect.signature(obj).parameters, f"kirbyfront.{name}.{attr}"
+
+
+def test_one_result_type_without_a_trace():
+    from kirbyfront import moves, wordops
+
+    assert moves.MoveResult is wordops.MoveResult
+    assert "trace" not in {f.name for f in dataclasses.fields(wordops.MoveResult)}

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -261,3 +262,43 @@ def test_cli_import_leaves_numpy_out():
         timeout=60, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_limited(tmp_path, command, left, events):
+    """Exit code and standard error of one CLI child given 1 GiB of address
+    space, on a word with ``left`` wall strands and the ``events`` block."""
+    path = tmp_path / "big.front"
+    path.write_text(f"diagram big\nspin 0\nleft {left}\nevents\n{events}\nend\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "kirbyfront.cli", command, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in out.stderr, out.stderr
+    return out.returncode, out.stderr
+
+
+@pytest.mark.parametrize(
+    "left, events",
+    [("99999999999", ""), ("0", "L1 " * 1000)],
+    ids=["huge-left-wall", "long-events-block"],
+)
+@pytest.mark.parametrize("command", ["parse", "invariants", "render"])
+def test_oversized_word_exit_code(tmp_path, command, left, events):
+    """A word with more strand segments than a parse may hold is refused
+    before it is traced."""
+    code, err = _run_limited(tmp_path, command, left, events)
+    assert code == 4 and "strand segments" in err
+
+
+def test_overlong_events_block_exit_code(tmp_path):
+    """An events block too long for any word is refused while it is read:
+    five million events would not fit in 1 GiB."""
+    code, err = _run_limited(tmp_path, "parse", "2", "X1\n" * 5_000_000)
+    assert code == 4 and "more than 1000000 events" in err

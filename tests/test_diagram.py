@@ -40,6 +40,11 @@ def test_parse_rejects_replay_violation():
         parse_front("diagram bad\nspin 0\nleft 0\nevents\n X1\nend\n")
 
 
+def test_parse_rejects_event_at_slot_zero():
+    with pytest.raises(ParseError, match="line 5: bad event token 'X0'"):
+        parse_front("diagram bad\nspin 0\nleft 2\nevents\n X0\nend\n")
+
+
 def test_parse_serialize_fixed_point():
     d = parse_front(UNKNOT_TEXT)
     text = serialize_front(d)

@@ -26,7 +26,6 @@ from kirbyfront.invariants import (
     InvariantError,
     LinkingData,
     _classify,
-    _with_default_attrs,
     classical_invariants,
     crossing_data,
     handle_census,
@@ -215,7 +214,7 @@ def _oracle_linking_matrix(d):
     if d.spin != 0:
         raise InvariantError("linking data is defined for spin 0 only")
     if not d.attrs:
-        d = _with_default_attrs(d)
+        d = default_attrs(d)
     tr = trace_components(d)
     minus = [
         c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
@@ -229,7 +228,7 @@ def _oracle_linking_matrix(d):
         if not tr.components[cid - 1].closed:
             raise InvariantError(f"-1 component {cid} is open")
 
-    xs = crossing_data(d, tr)
+    xs = crossing_data(d)
     lk = {}
     geo = {}
     for (_i, cf, cb, sign) in xs:
@@ -242,7 +241,7 @@ def _oracle_linking_matrix(d):
     size = len(minus)
     matrix = [[0] * size for _ in range(size)]
     for a in range(size):
-        inv = classical_invariants(d, minus[a], tr)
+        inv = classical_invariants(d, minus[a])
         matrix[a][a] = inv.tb - 1
         for b in range(a + 1, size):
             key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
@@ -264,7 +263,7 @@ def _oracle_homology_presentation(d):
     if d.spin != 0:
         raise InvariantError("homology data is defined for spin 0 only")
     if not d.attrs:
-        d = _with_default_attrs(d)
+        d = default_attrs(d)
     tr = trace_components(d)
     minus = [
         c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
@@ -280,7 +279,7 @@ def _oracle_homology_presentation(d):
     if size == 0:
         return []
 
-    xs = crossing_data(d, tr)
+    xs = crossing_data(d)
     lk = {}
     for (_i, cf, cb, sign) in xs:
         if cf == cb:
@@ -290,7 +289,7 @@ def _oracle_homology_presentation(d):
 
     m = [[0] * size for _ in range(size)]
     for cid in minus:
-        inv = classical_invariants(d, cid, tr)
+        inv = classical_invariants(d, cid)
         m[index[cid]][index[cid]] = inv.tb - 1
     for a in range(size):
         for b in range(a + 1, size):

@@ -29,7 +29,6 @@ from kirbyfront.invariants import (
     InvariantError,
     LinkingData,
     _classify,
-    _with_default_attrs,
     all_classical_invariants,
     classical_invariants,
     crossing_data,
@@ -39,12 +38,11 @@ from kirbyfront.invariants import (
 )
 from kirbyfront.moves import (
     MoveError,
-    MoveResult,
     _attr,
     _check_spin,
     _require,
     _slide_back_blocks,
-    _spin_rewrite,
+    _spin_splice,
     _spin_windows,
     _strand_comp,
     birth_cancel_pair,
@@ -54,7 +52,7 @@ from kirbyfront.moves import (
     witness_subcritical,
 )
 from kirbyfront.smith import smith_normal_form
-from kirbyfront.wordops import erase_components, erase_segments
+from kirbyfront.wordops import MoveResult, erase_components, erase_segments
 
 from conftest import random_diagram
 
@@ -90,10 +88,10 @@ def _cusp_direction(d, tr, i):
     return 1 if up else -1
 
 
-def _oracle_classical_invariants(d, cid, tr=None):
+def _oracle_classical_invariants(d, cid):
     if d.spin != 0:
         raise InvariantError("classical invariants are defined for spin 0 only")
-    tr = tr or trace_components(d)
+    tr = trace_components(d)
     if not 1 <= cid <= len(tr.components):
         raise InvariantError(f"no component {cid}")
     comp = tr.components[cid - 1]
@@ -116,7 +114,7 @@ def _oracle_classical_invariants(d, cid, tr=None):
         else:
             down += 1
     writhe = sum(
-        sign for (_i, cf, cb, sign) in crossing_data(d, tr) if cf == cid and cb == cid
+        sign for (_i, cf, cb, sign) in crossing_data(d) if cf == cid and cb == cid
     )
     return ClassicalInvariants(
         tb=writhe - right,
@@ -132,7 +130,7 @@ def _oracle_classical_invariants(d, cid, tr=None):
 def _oracle_all_classical_invariants(d):
     tr = trace_components(d)
     return {
-        c.cid: _oracle_classical_invariants(d, c.cid, tr)
+        c.cid: _oracle_classical_invariants(d, c.cid)
         for c in tr.components
         if c.closed
     }
@@ -142,7 +140,7 @@ def _oracle_surgery_data(d, what):
     if d.spin != 0:
         raise InvariantError(f"{what} data is defined for spin 0 only")
     if not d.attrs:
-        d = _with_default_attrs(d)
+        d = default_attrs(d)
     tr = trace_components(d)
     minus = [
         c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
@@ -154,7 +152,7 @@ def _oracle_surgery_data(d, what):
     ]
     lk = {}
     geo = {}
-    for (_i, cf, cb, sign) in crossing_data(d, tr):
+    for (_i, cf, cb, sign) in crossing_data(d):
         if cf == cb:
             continue
         key = (min(cf, cb), max(cf, cb))
@@ -174,7 +172,7 @@ def _oracle_linking_matrix(d):
     size = len(minus)
     matrix = [[0] * size for _ in range(size)]
     for a in range(size):
-        inv = _oracle_classical_invariants(d, minus[a], tr)
+        inv = _oracle_classical_invariants(d, minus[a])
         matrix[a][a] = inv.tb - 1
         for b in range(a + 1, size):
             key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
@@ -201,7 +199,7 @@ def _oracle_homology_presentation(d):
 
     m = [[0] * size for _ in range(size)]
     for cid in minus:
-        inv = _oracle_classical_invariants(d, cid, tr)
+        inv = _oracle_classical_invariants(d, cid)
         m[index[cid]][index[cid]] = inv.tb - 1
     for a in range(size):
         for b in range(a + 1, size):
@@ -299,7 +297,7 @@ def _oracle_cancel_trivial_bypass(d, n_handle, np1_handle):
         j == i + 1 and d.events[i].pos == d.events[j].pos,
         "the push-off crossings do not form the TB clasp",
     )
-    rw = erase_components(d, [n_handle, np1_handle], tr=tr)
+    rw = erase_components(d, [n_handle, np1_handle])
     _check_spin(rw.diagram)
     return MoveResult(rw.diagram, rw.old_to_new)
 
@@ -331,7 +329,7 @@ def _oracle_cancel_pair(d, site):
         f"the -1 component passes over the unknot {len(mutual) // 2} times,"
         " not once",
     )
-    rw = erase_components(d, [plus, minus], tr=tr)
+    rw = erase_components(d, [plus, minus])
     _check_spin(rw.diagram)
     return MoveResult(rw.diagram, rw.old_to_new)
 
@@ -364,8 +362,9 @@ def _oracle_slide_back(d, moving, over, site):
     )
     before = handle_census(d).euler
     windows = _spin_windows(d, i, i + width, ())
-    res, tr2 = _spin_rewrite(d, i, i + width, (), tr=tr)
+    res = _spin_splice(d, i, i + width, ())
     d2 = res.diagram
+    tr2 = trace_components(d2)
     # removing the junction splits `moving`: one lane continues as the
     # surviving component, the other belongs to the freed parallel circuit
     i_final = i - sum(b - a for (a, b, _e) in windows if a < i)
@@ -402,7 +401,7 @@ def _oracle_slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, tr2.components[circuit - 1].segments, tr=tr2)
+            rw = erase_segments(d2, tr2.components[circuit - 1].segments)
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:

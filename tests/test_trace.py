@@ -4,7 +4,6 @@ twice, and checks that the one-entry memo returns what a fresh trace
 returns and spares the next move a trace of the previous move's output."""
 
 import random
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -29,7 +28,6 @@ from kirbyfront.invariants import (
     linking_matrix,
 )
 from kirbyfront.moves import (
-    MoveError,
     birth_cancel_pair,
     clasp,
     crossing_change,
@@ -39,16 +37,10 @@ from kirbyfront.moves import (
     site_at,
     stabilize,
 )
-from kirbyfront.wordops import (
-    double_component,
-    erase_components,
-    erase_segments,
-    splice,
-)
 
 from conftest import random_diagram
 from test_templates import _kinked
-from test_wordops import _corpus, _result, _splices
+from test_wordops import _corpus
 
 # ---------------------------------------------------------------------------
 # Oracle: the previous trace, kept verbatim
@@ -225,60 +217,21 @@ def test_trace_matches_previous_walk():
     assert cases > 3000 and errors > 100 and relative > 300
 
 
-def test_rewrites_take_and_return_traces():
-    """A rewrite given the trace of its input returns what it returns when it
-    traces the input itself, and carries the trace of its output."""
-    rng = random.Random(4049)
-    checked = 0
-    for d in _corpus(rng, 60):
-        tr = trace_components(d)
-        calls = [(splice, (d, *args)) for args in _splices(rng, d, 5)]
-        for c in tr.components:
-            calls += [
-                (erase_components, (d, [c.cid])),
-                (erase_segments, (d, c.segments)),
-                (double_component, (d, c.cid, "below")),
-            ]
-        for fn, args in calls:
-            want = _result(fn, *args)
-            assert _result(fn, *args, tr=tr) == want
-            try:
-                out = fn(*args, tr=tr)
-            except MoveError:
-                continue
-            rw = out[0] if isinstance(out, tuple) else out
-            assert _outcome(trace_components, rw.diagram) == _outcome(
-                lambda _d: rw.trace, rw.diagram
-            )
-            checked += 1
-    assert checked > 300
-
-
 # ---------------------------------------------------------------------------
 # One trace per word per move
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def traced(monkeypatch):
-    """Count trace_components calls per word, rebinding the name in every
-    kirbyfront module that holds it, as an outside tracer would."""
-    seen = Counter()
-    orig = diagram.trace_components
-
-    def counting(d):
-        seen[(d.left_count, d.events)] += 1
-        return orig(d)
-
-    for name, module in list(sys.modules.items()):
-        if name != "kirbyfront" and not name.startswith("kirbyfront."):
-            continue
-        if vars(module).get("trace_components") is orig:
-            monkeypatch.setattr(module, "trace_components", counting)
+def traced(computed, monkeypatch):
+    """Count the traces computed per word in one move, which starts with
+    an empty memo."""
 
     def once(fn, *args, **kwargs):
-        seen.clear()
+        computed.clear()
+        monkeypatch.setattr(diagram, "_last", (None, None, None))
         res = fn(*args, **kwargs)
+        seen = Counter(computed)
         assert seen and max(seen.values()) == 1, (fn.__name__, dict(seen))
         return res
 

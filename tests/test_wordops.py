@@ -28,10 +28,16 @@ from kirbyfront.diagram import (
 )
 from kirbyfront.invariants import classical_invariants, crossing_data, handle_census
 from kirbyfront.families import cieliebak_diagram
-from kirbyfront.moves import exchange, normalize, reidemeister, site_at
+from kirbyfront.moves import (
+    equivalent_up_to_normalization,
+    exchange,
+    normalize,
+    reidemeister,
+    site_at,
+)
 from kirbyfront.wordops import (
     MoveError,
-    Rewrite,
+    MoveResult,
     double_component,
     erase_components,
     erase_segments,
@@ -123,7 +129,7 @@ def _closed_invariants(d):
     out = []
     for comp in tr.components:
         if comp.closed:
-            out.append(classical_invariants(d, comp.cid, tr))
+            out.append(classical_invariants(d, comp.cid))
     return out
 
 
@@ -134,18 +140,21 @@ def _tb_rot(d):
         c.cid: (inv.tb, inv.rot)
         for c in tr.components
         if c.closed
-        for inv in (classical_invariants(d, c.cid, tr),)
+        for inv in (classical_invariants(d, c.cid),)
     }
 
 
 def test_rewrites_keep_each_component_tb_and_rot():
     """Orientations follow the direction of travel, so isotopies and the
     mirror keep every closed component's (tb, rot), whatever the traversal
-    the rewritten word starts each component at."""
+    the rewritten word starts each component at.  An undecorated word is
+    read with every orientation +1 and keeps that direction of travel."""
     word = "L1 L3 X1 L1 R3 L1 R1 X2 X1 R1 R1".split()
-    found = default_attrs(FrontDiagram(events=[Event(t[0], int(t[1:])) for t in word]))
+    bare = FrontDiagram(events=[Event(t[0], int(t[1:])) for t in word])
     rng = random.Random(4242)
-    corpus = [found] + [_decorate(rng, random_diagram(rng)) for _ in range(150)]
+    randoms = [_decorate(rng, random_diagram(rng)) for _ in range(150)]
+    corpus = [default_attrs(bare), bare] + randoms
+    corpus += [replace(d, attrs=()) for d in randoms]
     moves = 0
     for d in corpus:
         before = _tb_rot(d)
@@ -166,6 +175,7 @@ def test_rewrites_keep_each_component_tb_and_rot():
                 assert {res.old_to_new[c]: v for c, v in before.items()} == after
                 moves += 1
     assert moves > 500
+    assert equivalent_up_to_normalization(bare, exchange_canonical(bare))
 
 
 @given(diagrams())
@@ -184,7 +194,7 @@ def test_pushoff_linking_equals_tb(d):
     comp = tr.components[0]
     if not comp.closed:
         return
-    tb = classical_invariants(d, comp.cid, tr).tb
+    tb = classical_invariants(d, comp.cid).tb
     for side in ("below", "above"):
         rw, companion, _gaps = double_component(d, comp.cid, side)
         out = rw.diagram
@@ -315,7 +325,7 @@ def _oracle_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None
     attrs, old_to_new, fresh = _oracle_attrs_from_map(
         d, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
     )
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
 def _expected_erase_components(d, cids):
@@ -397,7 +407,7 @@ def _oracle_erase_components(d, cids, name=None):
     attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
     if fresh:
         raise MoveError("erasure created components out of nothing")
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
 def _oracle_erase_segments(d, segs, name=None):
@@ -452,7 +462,7 @@ def _oracle_erase_segments(d, segs, name=None):
     attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
     if fresh:
         raise MoveError("circuit erasure created components out of nothing")
-    return Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
 def _oracle_double_component(d, cid, side, name=None):
@@ -537,7 +547,7 @@ def _oracle_double_component(d, cid, side, name=None):
     attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
     if len(fresh) != 1:
         raise MoveError("push-off did not create exactly one companion")
-    rw = Rewrite(replace(out, attrs=attrs), old_to_new, fresh)
+    rw = MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
     return rw, fresh[0], gap_map
 
 
@@ -769,7 +779,7 @@ def _result(fn, *args, **kwargs):
     if isinstance(out, tuple):
         rw, companion, gap_map = out
         return rw.diagram, rw.old_to_new, rw.fresh, companion, gap_map
-    if isinstance(out, Rewrite):
+    if isinstance(out, MoveResult):
         return out.diagram, out.old_to_new, out.fresh
     return out
 
@@ -805,10 +815,19 @@ def _assert_orientation_transported(d, transport, out, sign):
         assert travel == sign * was * old.seg_dir[o]
 
 
+def _bare(result):
+    """A rewrite's result without attributes (an error as is)."""
+    if isinstance(result, FrontDiagram):
+        return replace(result, attrs=())
+    return result
+
+
 def test_rewrites_match_parent_oracles(monkeypatch):
     """The oracles copy ``orientation`` unchanged, which flips the direction
     of travel where a rewrite reverses a component's canonical traversal:
-    orientations are compared with the transport rule instead."""
+    orientations are compared with the transport rule instead.  The mirror
+    and exchange oracles return an undecorated word without attributes,
+    which loses its orientation, so those results are compared bare."""
     transports = []
 
     def recording(d, old_trace, new_trace, seg_map, *args, **kwargs):
@@ -844,7 +863,9 @@ def test_rewrites_match_parent_oracles(monkeypatch):
         for new, old, args in pairs:
             transports.clear()
             got = _result(new, *args)
-            assert _unoriented(got) == _unoriented(_result(old, *args)), (
+            whole = new in (mirror, exchange_canonical)
+            strip = _bare if whole and not d.attrs else _unoriented
+            assert strip(got) == strip(_result(old, *args)), (
                 new.__name__,
                 args,
             )
@@ -908,7 +929,7 @@ def test_exchange_move_matches_the_oracle_at_every_pair():
                 refusals += 1
                 continue
             want = _result(_oracle_splice, d, i, i + 2, swapped)
-            assert _unoriented(got.diagram) == _unoriented(want[0]), (d.word(), i)
-            assert got.diagram.events[i : i + 2] == swapped
+            assert _unoriented(got[0]) == _unoriented(want[0]), (d.word(), i)
+            assert got[0].events[i : i + 2] == swapped
             swaps += 1
     assert swaps > 300 and refusals > 300
