@@ -301,7 +301,8 @@ def _head(darts, rot, twist):
     return (t, t if y == x ^ 1 else 2 + twist[y >> 1])
 
 
-def _component_key(rows, where, twist, members):
+def _component_codes(rows, where, twist, members):
+    """The least relabelling of one component, as a tuple of code rows."""
     starts = [(d, rot) for d in members for rot in range(max(1, len(rows[d])))]
     heads = [_head(rows[d], rot, twist) for d, rot in starts]
     low = min(heads)
@@ -313,7 +314,7 @@ def _component_key(rows, where, twist, members):
                 best = cand
     # tuples of lists, not of generators: tuple(<generator>) over-allocates
     # and then shrinks, which raised the peak RSS of a key-heavy search
-    return tuple([tuple([(c >> 1, c & 1) for c in row]) for row in best])
+    return tuple([tuple(row) for row in best])
 
 
 def canonical_key(s):
@@ -327,14 +328,17 @@ def canonical_key(s):
     """
     rows, where, twist = _darts(s)
     keys = sorted(
-        _component_key(rows, where, twist, members)
+        tuple([tuple([(c >> 1, c & 1) for c in row])
+               for row in _component_codes(rows, where, twist, members)])
         for members in _components(rows, where)
     )
     return keys[0] if len(keys) == 1 else tuple(keys)
 
 
-# the most surfaces normalize_surface expands before it gives up
-NODE_CAP = 200000
+# the most darts normalize_surface keys, summed over the children it keys,
+# before it gives up; a cap on expanded nodes would not bound the work,
+# since each node keys one child per foot
+DART_BUDGET = 10**7
 
 
 def normalize_surface(s, target):
@@ -344,46 +348,60 @@ def normalize_surface(s, target):
     circle and requires odd Euler characteristic (chi = 1 - 2g forces
     b = 1 on the handlebody side).  Returns the list of (disk, slot)
     transposition steps; replaying them reproduces the target invariants.
+
+    A transposition keeps the disks, the bands and their twists, so the
+    search indexes s once and then runs on its dart rows alone: a child
+    is the rows with two darts swapped, keyed by the codes of its least
+    relabelling and tested by its boundary count.
     """
     if target not in ("planar", "connected"):
         raise RibbonError(f"unknown normalization target {target!r}")
-    inv = surface_invariants(s, require_connected=True)
-    if not inv.orientable:
+    rows, where, twist = _darts(s)
+    if len(_components(rows, where)) != 1:
+        raise RibbonError("surface is not connected")
+    if not _orientable(rows, where, twist):
         raise RibbonError("normalization needs an orientable surface")
-    if target == "connected" and euler_characteristic(s) % 2 == 0:
+    chi = euler_characteristic(s)
+    if target == "connected" and chi % 2 == 0:
         raise RibbonError(
             "connected-boundary target needs odd Euler characteristic"
         )
-
-    def done(inv):
-        if target == "planar":
-            return inv.genus == 0
-        return inv.boundary_components == 1
-
-    if done(inv):
+    # the boundary count that chi = 2 - 2g - b gives at the target
+    want = 2 - chi if target == "planar" else 1
+    rows = tuple([tuple(row) for row in rows])
+    if _boundary_count(rows, twist) == want:
         return []
-    seen = {canonical_key(s)}
-    queue = deque([(s, [])])
-    expanded = 0
+    disks = range(len(rows))
+    seen = {_component_codes(rows, where, twist, disks)}
+    queue = deque([(rows, where, [])])
+    keyed = 0
     while queue:
-        cur, path = queue.popleft()
-        expanded += 1
-        if expanded > NODE_CAP:
-            raise RibbonError(f"search budget exceeded ({NODE_CAP} nodes)")
-        for disk in cur.disks:
-            n = len(cur.order[disk])
+        rows, where, path = queue.popleft()
+        for i, row in enumerate(rows):
+            n = len(row)
             if n < 2:
                 continue
-            for slot in range(n):
-                nxt = clasp_transpose(cur, disk, slot)
-                key = canonical_key(nxt)
+            for a in range(n):
+                keyed += len(where)
+                if keyed > DART_BUDGET:
+                    raise RibbonError(
+                        f"search budget exceeded ({DART_BUDGET} darts keyed)"
+                    )
+                b = (a + 1) % n
+                x, y = row[a], row[b]
+                swapped = list(row)
+                swapped[a], swapped[b] = y, x
+                child = rows[:i] + (tuple(swapped),) + rows[i + 1:]
+                moved = where.copy()
+                moved[x], moved[y] = (i, b), (i, a)
+                key = _component_codes(child, moved, twist, disks)
                 if key in seen:
                     continue
                 seen.add(key)
-                steps = path + [(disk, slot)]
-                if done(surface_invariants(nxt)):
+                steps = path + [(s.disks[i], a)]
+                if _boundary_count(child, twist) == want:
                     return steps
-                queue.append((nxt, steps))
+                queue.append((child, moved, steps))
     raise RibbonError("no transposition sequence reaches the target")
 
 

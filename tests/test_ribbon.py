@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 from collections import deque
 
 import pytest
 
 from kirbyfront import ribbon
+from kirbyfront.cli import main
 from kirbyfront.ribbon import (
     Band,
     DiskBandSurface,
@@ -390,6 +392,32 @@ def random_two_disk(rng, nbands, odd):
             return s
 
 
+def random_three_disk(rng, nbands):
+    """A connected orientable surface on disks p, q (colour 0) and r
+    (colour 1): a band is odd exactly when it joins different colours.  An
+    isomorphism that forgets the twists may swap the colours, so these
+    searches see the twist bit of the key."""
+    colour = {"p": 0, "q": 0, "r": 1}
+    while True:
+        order = {d: [] for d in colour}
+        ends = []
+        for j in range(nbands):
+            ends.append((rng.choice("pqr"), rng.choice("pqr")))
+            for e, d in enumerate(ends[-1]):
+                order[d].append((f"b{j}", e))
+        if not all(order.values()):
+            continue
+        for ring in order.values():
+            rng.shuffle(ring)
+        bands = tuple(
+            Band(f"b{j}", rng.choice((1, -1, 3) if colour[d0] != colour[d1] else (0, 2)))
+            for j, (d0, d1) in enumerate(ends)
+        )
+        s = DiskBandSurface(disks=tuple(colour), bands=bands, order=order)
+        if is_connected(s):
+            return s
+
+
 def renamed_copy(rng, s):
     """Fresh disk and band names, shuffled declaration order, every cyclic
     order rotated."""
@@ -419,17 +447,132 @@ def differential_corpus():
     return base + [renamed_copy(rng, s) for s in base]
 
 
+# the search the dart-row search replaced, kept verbatim as the reference;
+# only canonical_key became old_canonical_key and NODE_CAP is its own
+OLD_NODE_CAP = 200000
+
+
+def old_normalize_surface(s, target):
+    """Breadth-first search over adjacent transpositions to the target.
+
+    target "planar" stops at genus 0; "connected" stops at one boundary
+    circle and requires odd Euler characteristic (chi = 1 - 2g forces
+    b = 1 on the handlebody side).  Returns the list of (disk, slot)
+    transposition steps; replaying them reproduces the target invariants.
+    """
+    if target not in ("planar", "connected"):
+        raise RibbonError(f"unknown normalization target {target!r}")
+    inv = surface_invariants(s, require_connected=True)
+    if not inv.orientable:
+        raise RibbonError("normalization needs an orientable surface")
+    if target == "connected" and euler_characteristic(s) % 2 == 0:
+        raise RibbonError(
+            "connected-boundary target needs odd Euler characteristic"
+        )
+
+    def done(inv):
+        if target == "planar":
+            return inv.genus == 0
+        return inv.boundary_components == 1
+
+    if done(inv):
+        return []
+    seen = {old_canonical_key(s)}
+    queue = deque([(s, [])])
+    expanded = 0
+    while queue:
+        cur, path = queue.popleft()
+        expanded += 1
+        if expanded > OLD_NODE_CAP:
+            raise RibbonError(f"search budget exceeded ({OLD_NODE_CAP} nodes)")
+        for disk in cur.disks:
+            n = len(cur.order[disk])
+            if n < 2:
+                continue
+            for slot in range(n):
+                nxt = clasp_transpose(cur, disk, slot)
+                key = old_canonical_key(nxt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                steps = path + [(disk, slot)]
+                if done(surface_invariants(nxt)):
+                    return steps
+                queue.append((nxt, steps))
+    raise RibbonError("no transposition sequence reaches the target")
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that counts its calls in calls[name]."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def _outcome(search, s, target):
+    try:
+        return search(s, target)
+    except RibbonError as exc:
+        return str(exc)
+
+
 def test_canonical_key_matches_original_on_seeded_corpus(monkeypatch):
     corpus = differential_corpus()
     assert len(corpus) == 2 * (5 + 18 + 105 + 108)
     for s in corpus:
         assert canonical_key(s) == old_canonical_key(s), serialize_ribbon(s)
-    planar = [s for s in corpus if is_orientable(s)]
-    assert len(planar) > 300
-    new_steps = [normalize_surface(s, "planar") for s in planar]
-    monkeypatch.setattr(ribbon, "canonical_key", old_canonical_key)
-    old_steps = [normalize_surface(s, "planar") for s in planar]
-    assert new_steps == old_steps
+    assert len([s for s in corpus if is_orientable(s)]) > 300
+    # the surfaces each search keys: equal counts show that both searches
+    # merge the same children, which equal step lists alone need not show
+    keyed = {}
+    count_calls(monkeypatch, ribbon, "_component_codes", keyed)
+    count_calls(monkeypatch, sys.modules[__name__], "old_canonical_key", keyed)
+    # this draw has searches where a key without the twist bit merges
+    # children that a key with it keeps apart
+    rng = random.Random(1)
+    three_disk = [random_three_disk(rng, 6) for _ in range(24)]
+    three_disk += [renamed_copy(rng, s) for s in three_disk]
+    found = []
+    for s in corpus + three_disk:
+        for target in ("planar", "connected"):
+            keyed.clear()
+            new = _outcome(normalize_surface, s, target)
+            old = _outcome(old_normalize_surface, s, target)
+            assert (new, keyed.get("_component_codes")) == (
+                old, keyed.get("old_canonical_key")), (target, serialize_ribbon(s))
+            found.append(new)
+    assert sum(isinstance(o, str) for o in found[:2 * len(corpus)]) == 506
+
+
+def test_search_runs_on_dart_rows(monkeypatch):
+    s = surf(
+        "disk d\nband a d.0 d.2\nband b d.1 d.3\nband c d.4 d.6\n"
+        "band e d.5 d.7\nband f d.8 d.9\n"
+    )
+    assert surface_invariants(s).genus == 2
+    calls = {}
+    count_calls(monkeypatch, DiskBandSurface, "__post_init__", calls)
+    for name in ("clasp_transpose", "canonical_key", "surface_invariants", "_darts"):
+        count_calls(monkeypatch, ribbon, name, calls)
+    steps = normalize_surface(s, "planar")
+    assert len(steps) >= 2
+    assert calls == {"_darts": 1}
+
+
+def test_search_budget_bounds_the_work(monkeypatch, tmp_path, capsys):
+    text = "disk d\nband a d.0 d.2\nband b d.1 d.3\nband c d.4 d.6\nband e d.5 d.7\n"
+    rib = tmp_path / "g2.ribbon"
+    rib.write_text(text)
+    assert normalize_surface(surf(text), "planar")
+    monkeypatch.setattr(ribbon, "DART_BUDGET", 50)
+    with pytest.raises(RibbonError, match="search budget exceeded"):
+        normalize_surface(surf(text), "planar")
+    assert main(["ribbon", "normalize", str(rib), "--target", "planar"]) == 2
+    assert "search budget exceeded" in capsys.readouterr().err
 
 
 def test_disconnected_key_ignores_names():
