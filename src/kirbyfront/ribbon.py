@@ -371,8 +371,8 @@ def normalize_surface(s, target):
     rows = tuple([tuple(row) for row in rows])
     if _boundary_count(rows, twist) == want:
         return []
-    disks = range(len(rows))
-    seen = {_component_codes(rows, where, twist, disks)}
+    members = range(len(rows))
+    seen = {_component_codes(rows, where, twist, members)}
     queue = deque([(rows, where, [])])
     keyed = 0
     while queue:
@@ -394,7 +394,7 @@ def normalize_surface(s, target):
                 child = rows[:i] + (tuple(swapped),) + rows[i + 1:]
                 moved = where.copy()
                 moved[x], moved[y] = (i, b), (i, a)
-                key = _component_codes(child, moved, twist, disks)
+                key = _component_codes(child, moved, twist, members)
                 if key in seen:
                     continue
                 seen.add(key)
