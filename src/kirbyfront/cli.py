@@ -52,7 +52,7 @@ def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_IO))
 
 
@@ -60,8 +60,11 @@ def _write(path, text):
     if path == "-" or path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {path}: {exc}", EXIT_IO))
 
 
 def _fail(message, code):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagram import DiagramError
 
@@ -43,33 +44,53 @@ class Band:
     half_twists: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiskBandSurface:
-    """disks: tuple of disk names; order[d]: cyclic sequence of (band, end)
-    feet on disk d's boundary, where end is 0 or 1."""
+    """rows[i]: the darts on disk i in cyclic order, where band j has the
+    darts 2j (end 0) and 2j + 1 (end 1).  Built from order[d], the cyclic
+    sequence of (band name, end) feet on disk d, which .order reads back."""
 
     disks: tuple
     bands: tuple  # of Band
-    order: dict  # disk -> tuple of (band name, end)
+    rows: tuple  # of tuples of darts
 
-    def __post_init__(self):
-        object.__setattr__(self, "disks", tuple(self.disks))
-        object.__setattr__(self, "bands", tuple(self.bands))
-        object.__setattr__(self, "order", dict(self.order))
-        feet = {}
+    def __init__(self, disks, bands, order):
+        object.__setattr__(self, "disks", tuple(disks))
+        object.__setattr__(self, "bands", tuple(bands))
+        dart = {(b.name, e): 2 * j + e for j, b in enumerate(self.bands) for e in (0, 1)}
+        feet = set()
+        rows = []
         for d in self.disks:
-            for foot in self.order.get(d, ()):
+            row = []
+            for foot in order.get(d, ()):
                 if foot in feet:
                     raise RibbonError(f"foot {foot} attached twice")
-                feet[foot] = d
-        if len({b.name for b in self.bands}) != len(self.bands):
+                feet.add(foot)
+                row.append(dart.get(foot))
+            rows.append(tuple(row))
+        if len(dart) != 2 * len(self.bands):
             raise RibbonError("band name declared twice")
-        for b in self.bands:
-            for end in (0, 1):
-                if (b.name, end) not in feet:
-                    raise RibbonError(f"band {b.name} end {end} has no slot")
-        if len(feet) != 2 * len(self.bands):
+        for foot in dart:
+            if foot not in feet:
+                raise RibbonError(f"band {foot[0]} end {foot[1]} has no slot")
+        if len(feet) != len(dart):
             raise RibbonError("stray feet in cyclic orders")
+        for d in self.disks:
+            if d not in order:
+                raise RibbonError(f"disk {d} has no cyclic order")
+        known = set(self.disks)
+        if len(known) != len(self.disks):
+            raise RibbonError("disk name declared twice")
+        for d in order:
+            if d not in known:
+                raise RibbonError(f"cyclic order for undeclared disk {d}")
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @cached_property
+    def order(self):
+        """The feet of each disk by name, read off the rows on first use."""
+        return {d: tuple([(self.bands[x >> 1].name, x & 1) for x in row])
+                for d, row in zip(self.disks, self.rows)}
 
 
 @dataclass(frozen=True)
@@ -81,20 +102,13 @@ class SurfaceInvariants:
 
 
 def _darts(s):
-    """The integer index of a surface, built once per call.
-
-    Band j has the two darts 2j (end 0) and 2j + 1 (end 1), so the mate of
-    dart x is x ^ 1.  Returns (rows, where, twist): rows[i] lists the darts
-    on disk i in cyclic order, where[x] = (disk, slot) of dart x, and
-    twist[j] is the parity of band j's half twists.
-    """
-    band_id = {b.name: j for j, b in enumerate(s.bands)}
-    rows = [[2 * band_id[b] + e for (b, e) in s.order[d]] for d in s.disks]
+    """(rows, where, twist): where[x] is the (disk, slot) of dart x, whose
+    mate is x ^ 1, and twist[j] the parity of band j's half twists."""
     where = [None] * (2 * len(s.bands))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(s.rows):
         for k, x in enumerate(row):
             where[x] = (i, k)
-    return rows, where, [b.half_twists % 2 for b in s.bands]
+    return s.rows, where, [b.half_twists % 2 for b in s.bands]
 
 
 def _components(rows, where):
@@ -230,16 +244,21 @@ def clasp_transpose(s, disk, slot):
     abstract surface changes only through the cyclic order, so chi and
     orientability are preserved while (g, b) may trade.
     """
-    feet = list(s.order[disk])
-    if len(feet) < 2:
+    if disk not in s.disks:
+        raise RibbonError(f"unknown disk {disk}")
+    i = s.disks.index(disk)
+    row = list(s.rows[i])
+    if len(row) < 2:
         raise RibbonError(f"disk {disk} has fewer than two feet")
-    n = len(feet)
+    n = len(row)
     a = slot % n
     b = (slot + 1) % n
-    feet[a], feet[b] = feet[b], feet[a]
-    order = dict(s.order)
-    order[disk] = tuple(feet)
-    return DiskBandSurface(disks=s.disks, bands=s.bands, order=order)
+    row[a], row[b] = row[b], row[a]
+    t = object.__new__(DiskBandSurface)  # a transposition keeps the rows valid
+    object.__setattr__(t, "disks", s.disks)
+    object.__setattr__(t, "bands", s.bands)
+    object.__setattr__(t, "rows", s.rows[:i] + (tuple(row),) + s.rows[i + 1:])
+    return t
 
 
 def _relabel(rows, where, twist, disk, rot, best):
@@ -368,7 +387,6 @@ def normalize_surface(s, target):
         )
     # the boundary count that chi = 2 - 2g - b gives at the target
     want = 2 - chi if target == "planar" else 1
-    rows = tuple([tuple(row) for row in rows])
     if _boundary_count(rows, twist) == want:
         return []
     members = range(len(rows))
@@ -437,10 +455,10 @@ def parse_ribbon(text):
     feet sit in the declaration order of the bands (slot positions in the
     band lines give the position hints).
     """
-    disks = []
+    order = {}  # disk -> feet, in declaration order
     bands = []
     feet_at = {}  # disk -> {pos: (band, end)}
-    explicit = {}
+    explicit = {}  # disk -> (line number, feet)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -449,7 +467,9 @@ def parse_ribbon(text):
         if toks[0] == "disk":
             if len(toks) != 2:
                 raise RibbonError(f"line {lineno}: expected 'disk <id>'")
-            disks.append(toks[1])
+            if toks[1] in order:
+                raise RibbonError(f"line {lineno}: disk {toks[1]} declared twice")
+            order[toks[1]] = ()
         elif toks[0] == "band":
             if len(toks) not in (4, 6):
                 raise RibbonError(f"line {lineno}: band <id> <d.slot> <d.slot> [twists n]")
@@ -468,36 +488,34 @@ def parse_ribbon(text):
             if ":" not in rest:
                 raise RibbonError(f"line {lineno}: order <disk>: <feet>")
             dname, slots = rest.split(":", 1)
-            explicit[dname.strip()] = tuple(
+            dname = dname.strip()
+            if dname in explicit:
+                raise RibbonError(f"line {lineno}: second order line for disk {dname}")
+            explicit[dname] = lineno, tuple(
                 _foot_spec(part, lineno) for part in slots.split()
             )
         else:
             raise RibbonError(f"line {lineno}: unknown directive {toks[0]!r}")
-    order = {}
-    for d in disks:
-        if d in explicit:
-            order[d] = explicit[d]
-        else:
-            slots = feet_at.get(d, {})
-            order[d] = tuple(slots[k] for k in sorted(slots))
-    return DiskBandSurface(disks=tuple(disks), bands=tuple(bands), order=order)
+    for d in order:
+        slots = feet_at.get(d, {})
+        order[d] = tuple(slots[k] for k in sorted(slots))
+    for d, (lineno, feet) in explicit.items():
+        if d not in order:
+            raise RibbonError(f"line {lineno}: order for undeclared disk {d}")
+        order[d] = feet
+    return DiskBandSurface(disks=tuple(order), bands=tuple(bands), order=order)
 
 
 def serialize_ribbon(s):
     lines = [f"disk {d}" for d in s.disks]
-    pos = {}
-    for d in s.disks:
-        for k, foot in enumerate(s.order[d]):
-            pos[foot] = (d, k)
-    for b in s.bands:
-        d0, k0 = pos[(b.name, 0)]
-        d1, k1 = pos[(b.name, 1)]
-        line = f"band {b.name} {d0}.{k0} {d1}.{k1}"
+    where = _darts(s)[1]
+    for j, b in enumerate(s.bands):
+        (i0, k0), (i1, k1) = where[2 * j], where[2 * j + 1]
+        line = f"band {b.name} {s.disks[i0]}.{k0} {s.disks[i1]}.{k1}"
         if b.half_twists:
             line += f" twists {b.half_twists}"
         lines.append(line)
-    for d in s.disks:
-        if s.order[d]:
-            feet = " ".join(f"{b}.{e}" for (b, e) in s.order[d])
-            lines.append(f"order {d}: {feet}")
+    for d, feet in s.order.items():
+        if feet:
+            lines.append(f"order {d}: " + " ".join(f"{b}.{e}" for (b, e) in feet))
     return "\n".join(lines) + "\n"

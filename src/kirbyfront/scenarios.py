@@ -50,7 +50,7 @@ from .ribbon import (
 )
 from .scripts import parse_script, run_script
 
-__all__ = ["SCENARIOS", "verify_scenario", "mazur_script_text"]
+__all__ = ["SCENARIOS", "verify_scenario"]
 
 
 class ScenarioFailure(Exception):
@@ -132,6 +132,8 @@ def _scenario_fig_crossing_macro():
 
 
 def _scenario_mazur():
+    from importlib.resources import files
+
     log = []
     d = mazur_diagram()
     h1 = homology_presentation(d)
@@ -144,25 +146,12 @@ def _scenario_mazur():
         list(lk.over_ones.values()) == [3],
         "the 2-handle sphere should pass over the 1-handle three times",
     )
-    script = parse_script(mazur_script_text(), initial=d)
+    text = (files(__package__) / "data" / "mazur.script").read_text(encoding="utf-8")
+    script = parse_script(text, initial=d)
     final, steplog = run_script(script)
     log.extend(("step", m, n) for (_i, m, n) in steplog)
     _check(len(final.events) == 0, "Mazur script did not empty the diagram")
     return log
-
-
-MAZUR_SCRIPT = """\
-# untie the 2-handle sphere, slide it off the 1-handle, cancel the pair
-crossing_change site=4..5/2..2 assert events=16
-r2 site=1..4/1..1 variant=1 direction=reverse assert events=14
-r2 site=10..13/2..2 variant=4 direction=reverse assert events=12
-normalize assert events=10 components=2
-cancel site=0..0/1..1 components=1,2
-"""
-
-
-def mazur_script_text():
-    return MAZUR_SCRIPT
 
 
 def _scenario_cieliebak():

@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 from dataclasses import replace
+from importlib.resources import files
 
 import pytest
 
@@ -54,7 +55,6 @@ from kirbyfront.moves import (
     site_at,
     stabilize,
 )
-from kirbyfront.scenarios import mazur_script_text
 from kirbyfront.scripts import parse_script, run_script
 from kirbyfront.smith import smith_normal_form
 
@@ -96,7 +96,8 @@ def test_criterion_3_mazur():
     t0 = time.perf_counter()
     d = mazur_diagram()
     assert homology_presentation(d) == []
-    script = parse_script(mazur_script_text(), initial=d)
+    text = (files("kirbyfront") / "data" / "mazur.script").read_text()
+    script = parse_script(text, initial=d)
     final, _log = run_script(script)
     assert final.events == ()
     dt = time.perf_counter() - t0

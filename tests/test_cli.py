@@ -302,3 +302,48 @@ def test_overlong_events_block_exit_code(tmp_path):
     five million events would not fit in 1 GiB."""
     code, err = _run_limited(tmp_path, "parse", "2", "X1\n" * 5_000_000)
     assert code == 4 and "more than 1000000 events" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("disk d\nband a d.0 d.1\nband b d.2 d.3\norder e: a.0 b.0 a.1 b.1\n",
+         "line 4: order for undeclared disk e"),
+        ("disk d\nband a d.0 d.1\norder d: a.0 a.1\norder d: a.1 a.0\n",
+         "line 4: second order line for disk d"),
+        ("disk d\ndisk d\nband a d.0 d.1\n", "line 2: disk d declared twice"),
+    ],
+)
+def test_ribbon_misread_file_exit_code(tmp_path, capsys, text, message):
+    rib = tmp_path / "bad.ribbon"
+    rib.write_text(text)
+    assert main(["ribbon", "invariants", str(rib)]) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse"], ["apply", "--move", "normalize"], ["invariants"], ["render"],
+        ["normalize"], ["ribbon", "invariants"], ["ribbon", "normalize", "--target", "planar"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+)
+def test_file_not_utf8_exit_code(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"disk d\xff\n")
+    at = 2 if argv[0] == "ribbon" else 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:at] + [str(bad)] + argv[at:])
+    assert exc.value.code == 4
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."], ids=["missing-dir", "dir"])
+@pytest.mark.parametrize("argv", [["render"], ["normalize"], ["apply", "--move", "normalize"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_output_exit_code(tmp_path, capsys, mazur_file, argv, where):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [mazur_file] + argv[1:] + ["-o", str(tmp_path / where)])
+    assert exc.value.code == 4
+    assert "cannot write" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
@@ -100,6 +101,11 @@ def test_ribbon_round_trip():
         ("disk d\nband a d.0 d.1\norder d: a.0 a.y\n", "not an integer"),
         ("disk d\nband a d.0 d.1\nband a d.2 d.3\norder d: a.0 a.1 z.0 z.1\n",
          "declared twice"),
+        ("disk d\nband a d.0 d.1\nband b d.2 d.3\norder e: a.0 b.0 a.1 b.1\n",
+         "line 4: order for undeclared disk e"),
+        ("disk d\nband a d.0 d.1\norder d: a.0 a.1\norder d: a.1 a.0\n",
+         "line 4: second order line for disk d"),
+        ("disk d\ndisk d\nband a d.0 d.1\n", "line 2: disk d declared twice"),
     ],
 )
 def test_parse_rejects_malformed_order_lines(text, message):
@@ -555,7 +561,7 @@ def test_search_runs_on_dart_rows(monkeypatch):
     )
     assert surface_invariants(s).genus == 2
     calls = {}
-    count_calls(monkeypatch, DiskBandSurface, "__post_init__", calls)
+    count_calls(monkeypatch, DiskBandSurface, "__init__", calls)
     for name in ("clasp_transpose", "canonical_key", "surface_invariants", "_darts"):
         count_calls(monkeypatch, ribbon, name, calls)
     steps = normalize_surface(s, "planar")
@@ -582,3 +588,146 @@ def test_disconnected_key_ignores_names():
     assert not is_connected(a)
     assert canonical_key(a) == canonical_key(b)
     assert canonical_key(a) != canonical_key(c)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the dart-row constructor against the name-dict checks
+# ---------------------------------------------------------------------------
+
+
+# The surface the dart-row one replaced, kept verbatim as the reference for
+# which inputs the constructor accepts and which message a rejection gives.
+@dataclass(frozen=True)
+class OldDiskBandSurface:
+    """disks: tuple of disk names; order[d]: cyclic sequence of (band, end)
+    feet on disk d's boundary, where end is 0 or 1."""
+
+    disks: tuple
+    bands: tuple  # of Band
+    order: dict  # disk -> tuple of (band name, end)
+
+    def __post_init__(self):
+        object.__setattr__(self, "disks", tuple(self.disks))
+        object.__setattr__(self, "bands", tuple(self.bands))
+        object.__setattr__(self, "order", dict(self.order))
+        feet = {}
+        for d in self.disks:
+            for foot in self.order.get(d, ()):
+                if foot in feet:
+                    raise RibbonError(f"foot {foot} attached twice")
+                feet[foot] = d
+        if len({b.name for b in self.bands}) != len(self.bands):
+            raise RibbonError("band name declared twice")
+        for b in self.bands:
+            for end in (0, 1):
+                if (b.name, end) not in feet:
+                    raise RibbonError(f"band {b.name} end {end} has no slot")
+        if len(feet) != 2 * len(self.bands):
+            raise RibbonError("stray feet in cyclic orders")
+
+
+def _built(cls, disks, bands, order):
+    try:
+        return cls(disks=disks, bands=bands, order=order)
+    except RibbonError as exc:
+        return str(exc)
+
+
+def _faults(s):
+    """(disks, bands, order) of s with one fault each: a duplicated foot, a
+    missing foot, a foot of an unknown band, an end of 2 (in place of an end
+    1, and as one more foot), and a duplicated band name (with its feet
+    renamed, and without)."""
+    order = s.order
+    d, e = s.disks[0], s.disks[-1]
+    a, b = s.bands[0].name, s.bands[1].name
+    h = next(k for k in s.disks if (a, 1) in order[k])
+
+    def edit(**rings):
+        return s.disks, s.bands, {**order, **rings}
+
+    def rename(band, feet):
+        bands = tuple(Band(a, band.half_twists) if band.name == b else band
+                      for band in s.bands)
+        if feet:
+            return s.disks, bands, {
+                k: tuple((a if f == b else f, end) for f, end in ring)
+                for k, ring in order.items()}
+        return s.disks, bands, order
+
+    return [
+        edit(**{e: order[e] + order[d][:1]}),
+        edit(**{d: order[d][1:]}),
+        edit(**{e: order[e] + (("zz", 0),)}),
+        edit(**{h: tuple((f, 2 if (f, end) == (a, 1) else end) for f, end in order[h])}),
+        edit(**{e: order[e] + ((a, 2),)}),
+        rename(b, True),
+        rename(b, False),
+    ]
+
+
+def test_constructor_matches_name_dict_checks(monkeypatch):
+    corpus = differential_corpus()
+    rng = random.Random(1)
+    three_disk = [random_three_disk(rng, 6) for _ in range(24)]
+    three_disk += [renamed_copy(rng, s) for s in three_disk]
+    checks = ("attached twice", "band name declared twice", "has no slot", "stray feet")
+    fired = set()
+    for s in corpus + three_disk:
+        order = s.order
+        old = OldDiskBandSurface(disks=s.disks, bands=s.bands, order=order)
+        new = DiskBandSurface(s.disks, s.bands, order)
+        band_id = {band.name: j for j, band in enumerate(s.bands)}
+        assert new.rows == tuple(
+            tuple(2 * band_id[f] + end for f, end in order[d]) for d in s.disks)
+        assert new == s and hash(new) == hash(s)
+        assert new.order == old.order
+        for disks, bands, faulty in _faults(s):
+            want = _built(OldDiskBandSurface, disks, bands, faulty)
+            got = _built(DiskBandSurface, disks, bands, faulty)
+            assert isinstance(want, str), faulty
+            assert got == want, faulty
+            fired.update(c for c in checks if c in want)
+    assert fired == set(checks)
+    # a transposition swaps two darts of one row and checks nothing again
+    calls = {}
+    count_calls(monkeypatch, DiskBandSurface, "__init__", calls)
+    for s in corpus:
+        for target in ("planar", "connected"):
+            try:
+                steps = normalize_surface(s, target)
+            except RibbonError:
+                continue
+            cur = s
+            for disk, slot in steps:
+                cur = clasp_transpose(cur, disk, slot)
+            inv = surface_invariants(cur)
+            assert (inv.genus if target == "planar" else inv.boundary_components) \
+                == (0 if target == "planar" else 1)
+    assert calls == {}
+
+
+@pytest.mark.parametrize(
+    "disks, order, message",
+    [
+        (("d", "e"), {"d": (("a", 0), ("a", 1))}, "disk e has no cyclic order"),
+        (("d",), {"d": (("a", 0), ("a", 1)), "f": ()},
+         "cyclic order for undeclared disk f"),
+        (("d", "d"), {"d": (("a", 0), ("a", 1))}, "foot ('a', 0) attached twice"),
+        (("d", "e", "e"), {"d": (("a", 0), ("a", 1)), "e": ()},
+         "disk name declared twice"),
+    ],
+)
+def test_constructor_rejects_what_the_name_dict_ignored(disks, order, message):
+    """The declared differences from the name-dict checks: each of these but
+    the third was accepted there."""
+    bands = (Band("a"),)
+    old = _built(OldDiskBandSurface, disks, bands, order)
+    assert _built(DiskBandSurface, disks, bands, order) == message
+    assert isinstance(old, str) == (message == "foot ('a', 0) attached twice")
+
+
+def test_transpose_rejects_an_unknown_disk():
+    s = surf("disk d\nband a d.0 d.1\n")
+    with pytest.raises(RibbonError, match="unknown disk e"):
+        clasp_transpose(s, "e", 0)

@@ -1,4 +1,5 @@
 import re
+from importlib.resources import files
 
 import pytest
 
@@ -9,7 +10,13 @@ from kirbyfront.diagram import (
     default_attrs,
     serialize_front,
 )
-from kirbyfront.families import mazur_diagram, stabilized_unknot, unknot
+from kirbyfront.families import (
+    cieliebak_diagram,
+    mazur_diagram,
+    stabilized_unknot,
+    trivial_bypass_pair,
+    unknot,
+)
 from kirbyfront.scripts import (
     MoveScript,
     MoveStep,
@@ -84,11 +91,8 @@ def test_parse_format_round_trip():
 def test_use_header_with_loader():
     d = mazur_diagram()
     store = {"mazur.front": serialize_front(d)}
-    from kirbyfront.scenarios import mazur_script_text
-
-    script = parse_script(
-        "use mazur.front\n" + mazur_script_text(), loader=store.__getitem__
-    )
+    text = (files("kirbyfront") / "data" / "mazur.script").read_text()
+    script = parse_script(text, loader=store.__getitem__)
     final, _ = run_script(script)
     assert final.events == ()
 
@@ -106,6 +110,18 @@ def test_bundled_data_files_replay():
     assert final.events == ()
     # the bundled diagram is the canonical serialization of the generator
     assert front == serialize_front(mazur_diagram())
+
+
+def test_bundled_front_files_are_their_builders():
+    builders = {
+        "mazur.front": mazur_diagram(),
+        "cancelling_pair.front": trivial_bypass_pair()[0],
+        "cieliebak_k0_m1.front": cieliebak_diagram(0, 1),
+    }
+    pkg = files("kirbyfront") / "data"
+    assert sorted(p.name for p in pkg.iterdir() if p.name.endswith(".front")) == sorted(builders)
+    for name, d in builders.items():
+        assert (pkg / name).read_text() == serialize_front(d), name
 
 
 @pytest.mark.parametrize(
