@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .diagram import ParseError, parse_front, serialize_front, validate_diagram
+from .diagram import ParseError, parse_front, serialize_front
 from .invariants import (
     InvariantError,
     all_classical_invariants,
@@ -56,6 +56,18 @@ def _read(path):
         raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_IO))
 
 
+class _LoadError(Exception):
+    """An input file that does not parse: :func:`main` exits 4 with its message."""
+
+
+def _load(path, parse, error):
+    """``parse`` of the text of ``path``; an ``error`` it raises exits 4."""
+    try:
+        return parse(_read(path))
+    except error as exc:
+        raise _LoadError(str(exc)) from exc
+
+
 def _write(path, text):
     if path == "-" or path is None:
         sys.stdout.write(text)
@@ -73,22 +85,13 @@ def _fail(message, code):
 
 
 def cmd_parse(args):
-    try:
-        d = parse_front(_read(args.file))
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
-    problems = validate_diagram(d)
-    if problems:
-        return _fail("; ".join(problems), EXIT_PRECONDITION)
-    sys.stdout.write(serialize_front(d))
+    # parse_front refuses a word that fails validate_diagram
+    sys.stdout.write(serialize_front(_load(args.file, parse_front, ParseError)))
     return EXIT_OK
 
 
 def cmd_apply(args):
-    try:
-        d = parse_front(_read(args.file))
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
+    d = _load(args.file, parse_front, ParseError)
     step_args = {}
     for kv in args.arg or []:
         k, _, v = kv.partition("=")
@@ -104,10 +107,7 @@ def cmd_apply(args):
 
 
 def cmd_invariants(args):
-    try:
-        d = parse_front(_read(args.file))
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
+    d = _load(args.file, parse_front, ParseError)
     out = {}
     census = handle_census(d)
     out["census"] = {str(k): v for k, v in sorted(census.counts.items())}
@@ -137,28 +137,19 @@ def cmd_invariants(args):
 
 
 def cmd_render(args):
-    try:
-        d = parse_front(_read(args.file))
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
+    d = _load(args.file, parse_front, ParseError)
     _write(args.output, render_svg(d))
     return EXIT_OK
 
 
 def cmd_normalize(args):
-    try:
-        d = parse_front(_read(args.file))
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_IO)
+    d = _load(args.file, parse_front, ParseError)
     _write(args.output, serialize_front(normalize(d)))
     return EXIT_OK
 
 
 def cmd_ribbon(args):
-    try:
-        s = parse_ribbon(_read(args.file))
-    except RibbonError as exc:
-        return _fail(str(exc), EXIT_IO)
+    s = _load(args.file, parse_ribbon, RibbonError)
     if args.ribbon_cmd == "invariants":
         inv = surface_invariants(s)
         out = {
@@ -170,22 +161,21 @@ def cmd_ribbon(args):
         json.dump(out, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return EXIT_OK
-    if args.ribbon_cmd == "normalize":
-        try:
-            steps = normalize_surface(s, args.target)
-        except RibbonError as exc:
-            return _fail(str(exc), EXIT_PRECONDITION)
-        cur = s
-        for (disk, slot) in steps:
-            cur = clasp_transpose(cur, disk, slot)
-        report = {
-            "steps": [[d_, k] for (d_, k) in steps],
-            "final": serialize_ribbon(cur),
-        }
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return EXIT_OK
-    return _fail(f"unknown ribbon subcommand {args.ribbon_cmd!r}", EXIT_IO)
+    # argparse admits only the two subcommands, so this one is normalize
+    try:
+        steps = normalize_surface(s, args.target)
+    except RibbonError as exc:
+        return _fail(str(exc), EXIT_PRECONDITION)
+    cur = s
+    for (disk, slot) in steps:
+        cur = clasp_transpose(cur, disk, slot)
+    report = {
+        "steps": [[d_, k] for (d_, k) in steps],
+        "final": serialize_ribbon(cur),
+    }
+    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return EXIT_OK
 
 
 def cmd_verify(args):
@@ -293,7 +283,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _LoadError as exc:
+        return _fail(str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

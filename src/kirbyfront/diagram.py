@@ -20,7 +20,7 @@ condition checked by :func:`check_spin_symmetry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "COEFF_NONE",
@@ -38,6 +38,7 @@ __all__ = [
     "strand_counts",
     "right_count",
     "trace_components",
+    "component_path",
     "mirror",
     "mirror_events",
     "check_spin_symmetry",
@@ -188,17 +189,17 @@ def right_count(d):
 
 @dataclass
 class TracedComponent:
+    """Its segments are the ``seg_comp`` keys that map to ``cid``."""
+
     cid: int
     closed: bool
-    # Traversal order: list of (gap, slot, direction); direction +1 means the
-    # canonical traversal crosses this segment rightward.
-    path: list = field(default_factory=list)
-    segments: set = field(default_factory=set)
+    start: tuple  # first-touched (gap, slot); the traversal heads right there
 
 
 @dataclass
 class Trace:
-    """The component structure of one word.
+    """The component structure of one word: each strand segment is stored
+    once, as a key of ``seg_comp`` and of ``seg_dir``.
 
     A trace is shared only through the memo of :func:`trace_components`,
     which hands the trace of the last word it traced to every later call on
@@ -207,52 +208,64 @@ class Trace:
     """
 
     seg_comp: dict  # (gap, slot) -> cid
-    seg_dir: dict  # (gap, slot) -> +1 / -1 traversal direction
+    seg_dir: dict  # (gap, slot) -> +1 / -1; +1 means traversed rightward
     components: list  # TracedComponent, index cid-1
     counts: list  # strand count per gap
 
 
-def _walk(kinds, poss, nev, gap, slot, direction, home):
-    """Segments from (gap, slot) heading ``direction`` as (gap, slot,
-    direction) triples, and whether the walk closed up.
+def _walk(kinds, poss, start):
+    """The component through segment ``start`` in traversal order, as
+    (gap, slot, direction) triples, and whether it is closed.  The walk
+    heads rightward from ``start`` and turns around at cusps.  Closed, it
+    ends heading left at the left cusp whose lower strand ``start`` is;
+    open, it ends at a wall, after the reversed walk leftward to the other."""
+    nev = len(kinds)
+    runs = []
+    for home, direction in ((start[0], 1), (-1, -1)):
+        gap, slot = start
+        run = [(gap, slot, direction)]
+        runs.append(run)
+        while True:
+            if direction > 0:
+                if gap == nev:
+                    break
+                i = gap
+                nxt = gap + 1
+            else:
+                if gap == 0:
+                    break
+                i = nxt = gap - 1
+            kind, p = kinds[i], poss[i]
+            if kind == "X":
+                if slot == p:
+                    slot += 1
+                elif slot == p + 1:
+                    slot = p
+                gap = nxt
+            elif (kind == "L") == (direction > 0):  # a new pair opens at p
+                if slot >= p:
+                    slot += 2
+                gap = nxt
+            elif slot < p:
+                gap = nxt
+            elif slot > p + 1:
+                slot -= 2
+                gap = nxt
+            elif direction < 0 and gap == home:
+                return run, True
+            else:  # the cusp turns the walk back along the partner strand
+                slot = 2 * p + 1 - slot
+                direction = -direction
+            run.append((gap, slot, direction))
+    forward, back = runs
+    return [(g, s, -dr) for g, s, dr in reversed(back[1:])] + forward, False
 
-    It stops at a wall, or when heading left it reaches the left cusp that
-    closes the loop at gap ``home`` (the walk started on that cusp's lower
-    strand).  Turning around at a cusp flips the direction.
-    """
-    path = [(gap, slot, direction)]
-    while True:
-        if direction > 0:
-            if gap == nev:
-                return path, False
-            i = gap
-            nxt = gap + 1
-        else:
-            if gap == 0:
-                return path, False
-            i = nxt = gap - 1
-        kind, p = kinds[i], poss[i]
-        if kind == "X":
-            if slot == p:
-                slot += 1
-            elif slot == p + 1:
-                slot = p
-            gap = nxt
-        elif (kind == "L") == (direction > 0):  # a new pair opens at p
-            if slot >= p:
-                slot += 2
-            gap = nxt
-        elif slot < p:
-            gap = nxt
-        elif slot > p + 1:
-            slot -= 2
-            gap = nxt
-        elif direction < 0 and gap == home:
-            return path, True
-        else:  # the cusp turns the walk back along the partner strand
-            slot = 2 * p + 1 - slot
-            direction = -direction
-        path.append((gap, slot, direction))
+
+def component_path(d, cid):
+    """Component ``cid`` of ``d`` in traversal order, as (gap, slot,
+    direction) triples; it is walked anew on every call."""
+    start = trace_components(d).components[cid - 1].start
+    return _walk([e.kind for e in d.events], [e.pos for e in d.events], start)[0]
 
 
 # (left_count, events, trace) of the last word trace_components traced
@@ -296,29 +309,23 @@ def _trace(d):
     for start in starts:
         if start in seg_comp:
             continue
-        gap, slot = start
-        path, closed = _walk(kinds, poss, nev, gap, slot, 1, gap)
-        if not closed:
-            back, _ = _walk(kinds, poss, nev, gap, slot, -1, -1)
-            path = [(g, s, -dr) for g, s, dr in reversed(back[1:])] + path
+        path, closed = _walk(kinds, poss, start)
         cid = len(components) + 1
         gaps, slots, dirs = zip(*path)
         # built from one dict, so each segment key is hashed once
         comp_dir = dict(zip(zip(gaps, slots), dirs))
         seg_dir.update(comp_dir)
         seg_comp.update(dict.fromkeys(comp_dir, cid))
-        components.append(
-            TracedComponent(cid=cid, closed=closed, path=path, segments=set(comp_dir))
-        )
+        components.append(TracedComponent(cid=cid, closed=closed, start=start))
     return Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
 
 
-def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=None):
+def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None):
     """Transport attributes along a partial segment map old->new.
 
     ``old_trace`` is the trace of ``d``.  Returns (attrs, old_to_new,
-    fresh): new components no old segment maps to are fresh and get
-    ``fresh_attr``.  ``merge`` resolves several old attributes landing on
+    fresh): new components no old segment maps to are fresh and get a bare
+    attribute.  ``merge`` resolves several old attributes landing on
     one new component; without it a merge is an error.  An orientation
     keeps the direction of travel along the first mapped segment of its
     component, so it flips where the new canonical traversal runs that
@@ -347,7 +354,7 @@ def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None, fresh_attr=Non
     for nc0, src in enumerate(sources):
         if not src:
             fresh.append(nc0 + 1)
-            attrs.append(fresh_attr or ComponentAttr(label=""))
+            attrs.append(ComponentAttr(label=""))
         elif len(src) == 1:
             attrs.append(old_attr(src, next(iter(src))))
         else:
@@ -438,8 +445,8 @@ def validate_diagram(d):
 _EVENT_LETTERS = {"L", "X", "R"}
 
 # The most strand segments, summed over the gaps, that a parsed word may
-# have.  A trace costs about 300 bytes per segment, so this keeps a parse
-# under 1 GiB.
+# have.  A trace keeps about 150 bytes per segment and peaks near 310 while
+# it is built, so this keeps a parse under 1 GiB.
 MAX_SEGMENTS = 1_000_000
 
 

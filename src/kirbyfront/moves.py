@@ -141,7 +141,7 @@ def _spin_windows(d, i0, i1, new_events):
     )
 
 
-def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
+def _spin_splice(d, i0, i1, new_events, merge=None):
     """:func:`splice` at the site and, on a spun diagram, at its mirror
     site."""
     windows = _spin_windows(d, i0, i1, new_events)
@@ -149,7 +149,7 @@ def _spin_splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
     old_to_new = None
     fresh_all = []
     for (a, b, evs) in windows:
-        rw = splice(cur, a, b, evs, merge=merge, fresh_attr=fresh_attr)
+        rw = splice(cur, a, b, evs, merge=merge)
         if old_to_new is None:
             old_to_new = rw.old_to_new
         else:
@@ -394,6 +394,9 @@ def handleslide(d, moving, over, variant, site):
         return replace(merged, label=keep.label, orientation=keep.orientation)
 
     res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge)
+    # off the spin axis the mirrored junction can split what the site joined
+    _require(len(res.diagram.attrs) <= len(d.attrs),
+             f"the mirrored junction splits component {moving} (spin symmetry)")
     res.old_to_new = {
         k: res.old_to_new[v] for k, v in rw.old_to_new.items() if v in res.old_to_new
     }
@@ -446,7 +449,7 @@ def _slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, tr2.components[circuit - 1].segments)
+            rw = erase_segments(d2, {seg for seg, c in tr2.seg_comp.items() if c == circuit})
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:

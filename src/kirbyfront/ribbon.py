@@ -457,7 +457,7 @@ def parse_ribbon(text):
     """
     order = {}  # disk -> feet, in declaration order
     bands = []
-    feet_at = {}  # disk -> {pos: (band, end)}
+    feet_at = {}  # disk -> {pos: (band, end, line number)}
     explicit = {}  # disk -> (line number, feet)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -482,7 +482,10 @@ def parse_ribbon(text):
             bands.append(Band(name=name, half_twists=twists))
             for end, spec in enumerate(toks[2:4]):
                 dname, pos = _foot_spec(spec, lineno)
-                feet_at.setdefault(dname, {})[pos] = (name, end)
+                taken = feet_at.setdefault(dname, {}).setdefault(pos, (name, end, lineno))
+                if taken != (name, end, lineno):
+                    raise RibbonError(f"line {lineno}: slot {dname}.{pos} is already"
+                                      f" taken by band {taken[0]} on line {taken[2]}")
         elif toks[0] == "order":
             rest = " ".join(toks[1:])
             if ":" not in rest:
@@ -496,9 +499,11 @@ def parse_ribbon(text):
             )
         else:
             raise RibbonError(f"line {lineno}: unknown directive {toks[0]!r}")
-    for d in order:
-        slots = feet_at.get(d, {})
-        order[d] = tuple(slots[k] for k in sorted(slots))
+    for d, slots in feet_at.items():
+        if d not in order:
+            band, end, at = next(iter(slots.values()))
+            raise RibbonError(f"line {at}: foot {band}.{end} on undeclared disk {d}")
+        order[d] = tuple(slots[k][:2] for k in sorted(slots))
     for d, (lineno, feet) in explicit.items():
         if d not in order:
             raise RibbonError(f"line {lineno}: order for undeclared disk {d}")

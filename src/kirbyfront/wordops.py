@@ -49,7 +49,7 @@ class MoveResult:
     fresh: list = field(default_factory=list)
 
 
-def _rebuild(d, events, seg_map, error, merge=None, fresh_attr=None):
+def _rebuild(d, events, seg_map, error, merge=None):
     """The rewrite of ``d`` to ``events`` on the same walls, with attributes
     carried along ``seg_map``; an invalid word is a :class:`MoveError` that
     starts with ``error``."""
@@ -67,13 +67,11 @@ def _rebuild(d, events, seg_map, error, merge=None, fresh_attr=None):
         new_trace = trace_components(out)
     except DiagramError as exc:
         raise MoveError(f"{error}: {exc}") from exc
-    attrs, old_to_new, fresh = _attrs_from_map(
-        d, tr, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
-    )
+    attrs, old_to_new, fresh = _attrs_from_map(d, tr, new_trace, seg_map, merge=merge)
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
-def splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
+def splice(d, i0, i1, new_events, merge=None):
     """Replace events[i0:i1] by ``new_events``.
 
     The replacement must preserve the strand count and slot correspondence
@@ -100,7 +98,7 @@ def splice(d, i0, i1, new_events, merge=None, fresh_attr=None):
     for g in range(i1, len(d.events) + 1):
         for s in range(1, old_counts[g] + 1):
             seg_map[(g, s)] = (g + shift, s)
-    return _rebuild(d, events, seg_map, error, merge=merge, fresh_attr=fresh_attr)
+    return _rebuild(d, events, seg_map, error, merge=merge)
 
 
 def erase_components(d, cids):
@@ -148,18 +146,13 @@ def erase_segments(d, segs):
         gap = i + 1
         before_dead = dead_by_gap.get(i, set())
         after_dead = dead_by_gap.get(gap, set())
-        if ev.kind == "L":
-            in_circ = (ev.pos in after_dead, (ev.pos + 1) in after_dead)
-            if in_circ[0] != in_circ[1]:
-                raise MoveError("cusp joins a circuit strand to an outside strand")
-            keep = not in_circ[0]
-        elif ev.kind == "R":
-            in_circ = (ev.pos in before_dead, (ev.pos + 1) in before_dead)
-            if in_circ[0] != in_circ[1]:
-                raise MoveError("cusp joins a circuit strand to an outside strand")
-            keep = not in_circ[0]
-        else:
+        if ev.kind == "X":
             keep = ev.pos not in before_dead and (ev.pos + 1) not in before_dead
+        else:  # a cusp's pair is after a left cusp and before a right one
+            pair = after_dead if ev.kind == "L" else before_dead
+            keep = ev.pos not in pair
+            if keep == ((ev.pos + 1) in pair):
+                raise MoveError("cusp joins a circuit strand to an outside strand")
 
         if keep:
             below = sum(1 for s in before_dead if s < ev.pos)

@@ -312,6 +312,9 @@ def test_overlong_events_block_exit_code(tmp_path):
         ("disk d\nband a d.0 d.1\norder d: a.0 a.1\norder d: a.1 a.0\n",
          "line 4: second order line for disk d"),
         ("disk d\ndisk d\nband a d.0 d.1\n", "line 2: disk d declared twice"),
+        ("disk d\nband a d.0 e.1\n", "line 2: foot a.1 on undeclared disk e"),
+        ("disk d\nband a d.0 d.1\nband b d.1 d.2\n",
+         "line 3: slot d.1 is already taken by band a on line 2"),
     ],
 )
 def test_ribbon_misread_file_exit_code(tmp_path, capsys, text, message):

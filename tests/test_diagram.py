@@ -9,6 +9,7 @@ from kirbyfront.diagram import (
     ParseError,
     ValidationError,
     check_spin_symmetry,
+    component_path,
     default_attrs,
     mirror,
     parse_front,
@@ -108,7 +109,9 @@ def test_trace_deterministic():
         a = trace_components(d)
         b = trace_components(d)
         assert a.seg_comp == b.seg_comp
-        assert [c.path for c in a.components] == [c.path for c in b.components]
+        assert [component_path(d, c.cid) for c in a.components] == [
+            component_path(d, c.cid) for c in b.components
+        ]
 
 
 def test_mirror_involution():

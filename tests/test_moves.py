@@ -223,6 +223,16 @@ def test_handleslide_spun_round_trip():
     assert back.diagram.events == sp.events
 
 
+def test_handleslide_refuses_an_off_axis_spun_split():
+    """Off the spin axis the site's junction and its mirror join the moving
+    strand to one push-off twice, which would leave three components where
+    the input had two."""
+    d = trivial_bypass_pair(spin=1)[0]
+    assert len(d.attrs) == 2
+    with pytest.raises(MoveError, match="mirrored junction splits component 1"):
+        handleslide(d, 1, 2, "minus_down", site_at(2, 2))
+
+
 # ---------------------------------------------------------------------------
 # crossing change
 # ---------------------------------------------------------------------------

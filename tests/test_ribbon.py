@@ -106,11 +106,22 @@ def test_ribbon_round_trip():
         ("disk d\nband a d.0 d.1\norder d: a.0 a.1\norder d: a.1 a.0\n",
          "line 4: second order line for disk d"),
         ("disk d\ndisk d\nband a d.0 d.1\n", "line 2: disk d declared twice"),
+        ("disk d\nband a d.0 e.1\n", "line 2: foot a.1 on undeclared disk e"),
+        ("disk d\nband a d.0 d.1\nband b d.1 d.2\n",
+         "line 3: slot d.1 is already taken by band a on line 2"),
+        ("disk d\nband a d.0 d.0\n",
+         "line 2: slot d.0 is already taken by band a on line 2"),
     ],
 )
 def test_parse_rejects_malformed_order_lines(text, message):
     with pytest.raises(RibbonError, match=message):
         parse_ribbon(text)
+
+
+def test_parse_reads_a_band_line_before_its_disk_line():
+    early = parse_ribbon("band a d.0 d.2\nband b d.1 d.3\ndisk d\n")
+    assert early == surf("disk d\nband a d.0 d.2\nband b d.1 d.3\n")
+    assert surface_invariants(early).genus == 1
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,7 @@ def _oracle_slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, tr2.components[circuit - 1].segments)
+            rw = erase_segments(d2, {seg for seg, c in tr2.seg_comp.items() if c == circuit})
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:

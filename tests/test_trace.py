@@ -1,11 +1,13 @@
 """The component trace: a differential test of ``trace_components`` against
-the dict-based walk it replaced, a check that no move traces one word
-twice, and checks that the one-entry memo returns what a fresh trace
-returns and spares the next move a trace of the previous move's output."""
+the dict-based walk it replaced, a bound on the memory a trace keeps per
+strand segment, a check that no move traces one word twice, and checks
+that the one-entry memo returns what a fresh trace returns and spares the
+next move a trace of the previous move's output."""
 
 import random
+import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -14,9 +16,9 @@ from kirbyfront.diagram import (
     COEFF_MINUS,
     Event,
     FrontDiagram,
-    TracedComponent,
     Trace,
     ValidationError,
+    component_path,
     default_attrs,
     strand_counts,
     trace_components,
@@ -37,6 +39,7 @@ from kirbyfront.moves import (
     site_at,
     stabilize,
 )
+from kirbyfront.wordops import exchange_canonical
 
 from conftest import random_diagram
 from test_templates import _kinked
@@ -45,6 +48,19 @@ from test_wordops import _corpus
 # ---------------------------------------------------------------------------
 # Oracle: the previous trace, kept verbatim
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class TracedComponent:
+    """The component record of the previous trace, which kept each
+    component's traversal and segment set."""
+
+    cid: int
+    closed: bool
+    # Traversal order: list of (gap, slot, direction); direction +1 means the
+    # canonical traversal crosses this segment rightward.
+    path: list = field(default_factory=list)
+    segments: set = field(default_factory=set)
 
 
 def _slot_maps(events, counts):
@@ -167,13 +183,27 @@ def _oracle_trace_components(d):
 
 
 def _outcome(trace, d):
-    """Every field of ``trace(d)``, dict insertion order included, or the
-    error type and message."""
+    """Every field of ``trace(d)``, dict insertion order included, with each
+    component's traversal, segment set and first (gap, slot), or the error
+    type and message.  The oracle keeps the traversal and the segments; a
+    trace has them from ``component_path`` and ``seg_comp``."""
     try:
         tr = trace(d)
     except ValidationError as exc:
         return type(exc).__name__, str(exc)
-    comps = [(c.cid, c.closed, list(c.path), set(c.segments)) for c in tr.components]
+    if trace is _oracle_trace_components:
+        comps = [
+            (c.cid, c.closed, c.path, c.segments, min(c.segments))
+            for c in tr.components
+        ]
+    else:
+        segments = {c.cid: set() for c in tr.components}
+        for seg, cid in tr.seg_comp.items():
+            segments[cid].add(seg)
+        comps = [
+            (c.cid, c.closed, component_path(d, c.cid), segments[c.cid], c.start)
+            for c in tr.components
+        ]
     return (
         list(tr.seg_comp.items()),
         list(tr.seg_dir.items()),
@@ -215,6 +245,23 @@ def test_trace_matches_previous_walk():
         errors += isinstance(got[0], str)
         relative += d.left_count > 0
     assert cases > 3000 and errors > 100 and relative > 300
+
+
+def test_trace_keeps_each_segment_once():
+    """The kept trace of W^1_160's tall canonical form stays under 190 bytes
+    per strand segment (tracemalloc): it reads about 149, about 202 with a
+    set of segments per component re-added, about 219 with a traversal list
+    re-added, and 273 with both."""
+    d = exchange_canonical(cieliebak_diagram(1, 160))
+    tracemalloc.start()
+    try:
+        tr = diagram._trace(d)
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    segments = sum(tr.counts)
+    assert segments > 150_000
+    assert kept / segments <= 190, kept / segments
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from kirbyfront.diagram import (
     FrontDiagram,
     _attrs_from_map,
     check_spin_symmetry,
+    component_path,
     default_attrs,
     mirror,
     parse_front,
@@ -638,7 +639,7 @@ def _oracle_exchange_canonical(d):
     old_of_new = {}
     for nc in new_tr.components:
         oc = None
-        for (g, s, _dir) in nc.path:
+        for (g, s, _dir) in component_path(out, nc.cid):
             if g == 0:
                 oc = old_tr.seg_comp[(0, s)]
                 break
@@ -766,8 +767,7 @@ def _splices(rng, d, n):
                 ((i1, i0, ()), (0, nev + 1, ()), (i0, i1, d.events[i0:i1]))
             )
         merge = rng.choice((None, lambda cids, attrs: attrs[-1]))
-        fresh_attr = rng.choice((None, ComponentAttr(label="new", coefficient=1)))
-        yield i0, i1, evs, merge, fresh_attr
+        yield i0, i1, evs, merge
 
 
 def _result(fn, *args, **kwargs):
@@ -851,14 +851,14 @@ def test_rewrites_match_parent_oracles(monkeypatch):
                 pairs.append((erase_components, _expected_erase_components, (d, sub)))
         pairs.append((erase_components, _expected_erase_components, (d, [0])))
         for comp in tr.components:
-            segs = set(comp.segments)
+            segs = {seg for seg, c in tr.seg_comp.items() if c == comp.cid}
             pairs.append((erase_segments, _oracle_erase_segments, (d, segs)))
             for side in ("below", "above"):
                 pairs.append(
                     (double_component, _oracle_double_component, (d, comp.cid, side))
                 )
-        for i0, i1, evs, merge, fresh_attr in _splices(rng, d, 10):
-            args = (d, i0, i1, evs, merge, fresh_attr)
+        for i0, i1, evs, merge in _splices(rng, d, 10):
+            args = (d, i0, i1, evs, merge)
             pairs.append((splice, _oracle_splice, args))
         for new, old, args in pairs:
             transports.clear()
