@@ -423,6 +423,11 @@ def validate_diagram(d):
             f"{len(d.attrs)} component attributes for {ncomp} traced components"
         )
     for i, attr in enumerate(d.attrs):
+        if attr.coefficient == COEFF_PLUS and attr.node_plus != attr.node_minus:
+            violations.append(
+                f"component {i + 1}: +1 surgery with only one node decoration "
+                "(convention (2))"
+            )
         for target in attr.dashed_links:
             if target < 1 or target > ncomp:
                 violations.append(

@@ -16,7 +16,6 @@ from .diagram import (
     ComponentAttr,
     Event,
     FrontDiagram,
-    default_attrs,
 )
 from .moves import birth_cancel_pair, clasp, reidemeister, site_at, stabilize
 from .wordops import double_component
@@ -32,32 +31,31 @@ __all__ = [
 
 
 def unknot(coefficient=0, name="unknot", spin=0):
-    d = FrontDiagram(
-        name=name, spin=spin, events=(Event("L", 1), Event("R", 1))
-    )
-    return replace(
-        default_attrs(d),
+    return FrontDiagram(
+        name=name,
+        spin=spin,
+        events=(Event("L", 1), Event("R", 1)),
         attrs=(ComponentAttr(label="u", coefficient=coefficient),),
     )
 
 
-def torus_knot_2q(q, coefficient=0, name=None):
+def torus_knot_2q(q, coefficient=0):
     """Front of the (2, q) torus knot (q odd >= 3): tb = q - 2, rot = 0."""
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be odd and >= 3")
     events = [Event("L", 1), Event("L", 3)]
     events += [Event("X", 2)] * q
     events += [Event("R", 3), Event("R", 1)]
-    d = FrontDiagram(name=name or f"t2_{q}", events=tuple(events))
-    return replace(
-        default_attrs(d),
+    return FrontDiagram(
+        name=f"t2_{q}",
+        events=tuple(events),
         attrs=(ComponentAttr(label="k", coefficient=coefficient),),
     )
 
 
-def stabilized_unknot(coefficient=COEFF_MINUS, name="stab_unknot", spin=0):
-    """The unknot with one double stabilization: tb -3, rot 0 at spin 0."""
-    u = unknot(coefficient=coefficient, name=name, spin=spin)
+def stabilized_unknot():
+    """The -1 unknot with one double stabilization: tb -3, rot 0."""
+    u = unknot(coefficient=COEFF_MINUS, name="stab_unknot")
     return stabilize(u, 1, site_at(1, 1), "stabilize").diagram
 
 
@@ -69,7 +67,7 @@ def _up_zigzag(s):
     return (Event("L", s + 1), Event("R", s))
 
 
-def cieliebak_diagram(k, m, name=None):
+def cieliebak_diagram(k, m):
     """The plane-bundle family member W^k_m: a -1 unknot with m zigzags of
     one kind and 2k + m of the other, so tb = 1 - 2(k + 1 + m) and
     rot = 2k.
@@ -98,17 +96,17 @@ def cieliebak_diagram(k, m, name=None):
     for _ in range(up):
         events += list(_up_zigzag(1))
     events += base_right
-    d = FrontDiagram(name=name or f"w_{k}_{m}", events=tuple(events))
-    return replace(
-        default_attrs(d),
+    return FrontDiagram(
+        name=f"w_{k}_{m}",
+        events=tuple(events),
         attrs=(ComponentAttr(label="w", coefficient=COEFF_MINUS),),
     )
 
 
-def trivial_bypass_pair(spin=0, name="tb_pair"):
+def trivial_bypass_pair(spin=0):
     """The cancelling handle pair: a -1 unknot with a parallel +1 push-off
     carrying both nodes and a dashed link back (pattern TB1)."""
-    u = unknot(coefficient=COEFF_MINUS, name=name, spin=spin)
+    u = unknot(coefficient=COEFF_MINUS, name="tb_pair", spin=spin)
     rw, companion, _ = double_component(u, 1, "above")
     d = rw.diagram
     nid = rw.old_to_new[1]
@@ -124,7 +122,7 @@ def trivial_bypass_pair(spin=0, name="tb_pair"):
     return replace(d, attrs=tuple(attrs)), nid, companion
 
 
-def mazur_diagram(name="mazur"):
+def mazur_diagram():
     """A contractible two-component pattern: a subcritical +1 unknot (the
     1-handle) and a -1 knot passing over it geometrically three times but
     algebraically once, with a clasped double-back.
@@ -135,7 +133,7 @@ def mazur_diagram(name="mazur"):
     is contractible: chi = 1 and the extended linking matrix
     [[0, 1], [1, -4]] is unimodular.
     """
-    d = birth_cancel_pair(FrontDiagram(name=name), site_at(0, 1), "birth").diagram
+    d = birth_cancel_pair(FrontDiagram(name="mazur"), site_at(0, 1), "birth").diagram
     d = reidemeister(d, "R2", site_at(1, 1), variant=1, direction="forward").diagram
     d = clasp(d, site_at(4, 2), "clasp").diagram
     d = reidemeister(d, "R2", site_at(8, 2), variant=4, direction="forward").diagram

@@ -19,7 +19,7 @@ f(1) = 1 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,21 +104,7 @@ class FramingReport:
     passed: bool = True
 
     def as_dict(self):
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "max_rotation_orth": self.max_rotation_orth,
-            "max_rotation_det": self.max_rotation_det,
-            "max_rotation_base": self.max_rotation_base,
-            "max_extension_orth": self.max_extension_orth,
-            "max_extension_det": self.max_extension_det,
-            "max_first_column": self.max_first_column,
-            "max_boundary_match": self.max_boundary_match,
-            "worst": self.worst,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _orth_residual(m):

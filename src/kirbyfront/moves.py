@@ -38,6 +38,7 @@ from .invariants import _tally, all_classical_invariants, handle_census
 from .wordops import (
     MoveError,
     MoveResult,
+    _push_off,
     _try_swap,
     double_component,
     erase_components,
@@ -341,8 +342,10 @@ def handleslide(d, moving, over, variant, site):
 
     Applied at a site spanning a previous junction (three events [X, R, L]
     belonging to ``moving``), the slide retracts: the junction is removed
-    and the freed parallel circuit erased.  That is the slide back, so an
-    up/down round trip at one site is the identity.
+    and one of the two lanes it joined is erased, the one whose erasure
+    leaves a word where pushing ``over`` off again rebuilds the word the
+    junction was removed from.  Where neither lane does, the slide back is
+    refused.  So an up/down round trip at one site is the identity.
     """
     if variant not in _SLIDE_VARIANTS:
         raise MoveError(f"unknown handleslide variant {variant!r}")
@@ -416,7 +419,6 @@ def _slide_back(d, moving, over, site):
         and _strand_comp(tr, i, site.s0 + 1) == moving,
         "junction strands do not belong to the moving component",
     )
-    before = handle_census(d).euler
     windows = _spin_windows(d, i, i + width, ())
     res = _spin_splice(d, i, i + width, ())
     d2 = res.diagram
@@ -430,32 +432,28 @@ def _slide_back(d, moving, over, site):
     over2 = res.old_to_new.get(over)
     _require(over2 is not None, "the surgery component vanished")
 
-    cusps, pairs = _tally(d2, tr2)
-
-    def profile(cid):
-        withover = pairs.get((min(cid, over2), max(cid, over2)), ())
-        return (*cusps[cid][:2], len(pairs.get((cid, cid), ())), len(withover))
-
-    oleft, oright, oself, _ = profile(over2)
-    want = (oleft, oright, oself, oleft + oright + 2 * oself)
     out = None
     keep = None
     for circuit, kept in ((lane1, lane0), (lane0, lane1)):
-        if not tr2.components[circuit - 1].closed:
+        if circuit == over2 or not tr2.components[circuit - 1].closed:
             continue
-        # the freed circuit is a vertical push-off of `over`: same cusp and
-        # self-crossing counts, one mutual crossing per cusp of `over` and
-        # two per self-crossing
-        if profile(circuit) != want:
-            continue
+        # dashed links to `moving` follow the lane that stays
+        relink = {circuit: kept}
+        attrs = tuple(
+            replace(a, dashed_links=tuple(relink.get(t, t) for t in a.dashed_links))
+            for a in d2.attrs
+        )
+        segs = {seg for seg, c in tr2.seg_comp.items() if c == circuit}
         try:
-            rw = erase_segments(d2, {seg for seg, c in tr2.seg_comp.items() if c == circuit})
+            rw = erase_segments(replace(d2, attrs=attrs), segs)
+            # the freed circuit is the push-off of `over`: pushing `over`
+            # off again (the same word on either side) rebuilds d2
+            rebuilt = _push_off(rw.diagram, rw.old_to_new[over2], "below")[0]
         except MoveError:
             continue
-        if handle_census(rw.diagram).euler != before:
-            continue
-        out, keep = rw, kept
-        break
+        if tuple(rebuilt) == d2.events:
+            out, keep = rw, kept
+            break
     _require(out is not None, "site does not span a slide junction (no parallel"
              " circuit of the surgery component is freed)")
     _check_spin(out.diagram)

@@ -179,54 +179,60 @@ def double_component(d, cid, side):
     Returns (MoveResult, companion_cid, gap_map) where gap_map sends old gap
     indices to new ones.
     """
+    new_events, seg_map, gap_map = _push_off(d, cid, side)
+    rw = _rebuild(d, new_events, seg_map, "push-off produced an invalid word")
+    if len(rw.fresh) != 1:
+        raise MoveError("push-off did not create exactly one companion")
+    return rw, rw.fresh[0], gap_map
+
+
+def _push_off(d, cid, side):
+    """The word of ``d`` with component ``cid`` doubled, the segment map
+    and the gap map, without tracing the word.  The word is the same for
+    either ``side``; only which copy keeps the old segments differs."""
     if side not in ("below", "above"):
         raise MoveError(f"bad push-off side {side!r}")
     tr = trace_components(d)
-    counts = tr.counts
+    seg_comp = tr.seg_comp
     if not tr.components[cid - 1].closed:
         raise MoveError("only closed components admit a push-off")
+    # with the companion below, an old strand of the component runs above it
+    lift = 1 if side == "below" else 0
 
-    def c_slots(gap):
-        return [s for s in range(1, counts[gap] + 1) if tr.seg_comp.get((gap, s)) == cid]
+    def under(gap):
+        """under[s]: the component's strands below slot s at ``gap``, for
+        s = 1 .. count + 1; each slot and event at s moves up by that."""
+        out = [0, 0]
+        for s in range(1, tr.counts[gap] + 1):
+            out.append(out[-1] + (seg_comp[(gap, s)] == cid))
+        return out
 
-    def slot_map(gap):
-        slots = set(c_slots(gap))
-        m = {}
-        for s in range(1, counts[gap] + 1):
-            below = sum(1 for t in slots if t < s)
-            mine = 1 if (s in slots and side == "below") else 0
-            m[s] = s + below + mine
-        return m
+    def map_gap(gap, below):
+        for s in range(1, tr.counts[gap] + 1):
+            up = s + below[s] + (lift if seg_comp[(gap, s)] == cid else 0)
+            seg_map[(gap, s)] = (gap_map[gap], up)
 
     new_events = []
     gap_map = {0: 0}
     seg_map = {}
-    m0 = slot_map(0)
-    for s in range(1, counts[0] + 1):
-        seg_map[(0, s)] = (0, m0[s])
-
+    below = under(0)
+    map_gap(0, below)
     for i, ev in enumerate(d.events):
-        gap = i + 1
-        m = slot_map(i)
-        slots_i = set(c_slots(i))
         p = ev.pos
-        below_p = sum(1 for t in slots_i if t < p)
+        q = p + below[p]
         if ev.kind == "L":
-            if tr.seg_comp[(gap, p)] == cid:
-                q = p + below_p
+            if seg_comp[(i + 1, p)] == cid:
                 new_events += [Event("L", q), Event("L", q), Event("X", q + 1)]
             else:
-                new_events.append(Event("L", p + below_p))
+                new_events.append(Event("L", q))
         elif ev.kind == "R":
-            if p in slots_i:
-                q = m[p] - (1 if side == "below" else 0)
+            if seg_comp[(i, p)] == cid:
                 new_events += [Event("X", q + 1), Event("R", q), Event("R", q)]
             else:
-                new_events.append(Event("R", m[p]))
+                new_events.append(Event("R", q))
         else:
-            lo_c, hi_c = p in slots_i, (p + 1) in slots_i
+            lo_c, hi_c = seg_comp[(i, p)] == cid, seg_comp[(i, p + 1)] == cid
             if lo_c and hi_c:
-                q = m[p] - (1 if side == "below" else 0)
                 new_events += [
                     Event("X", q + 1),
                     Event("X", q),
@@ -234,22 +240,15 @@ def double_component(d, cid, side):
                     Event("X", q + 1),
                 ]
             elif lo_c:
-                q = m[p] - (1 if side == "below" else 0)
                 new_events += [Event("X", q + 1), Event("X", q)]
             elif hi_c:
-                q = m[p]
                 new_events += [Event("X", q), Event("X", q + 1)]
             else:
-                new_events.append(Event("X", m[p]))
-        gap_map[gap] = len(new_events)
-        mg = slot_map(gap)
-        for s in range(1, counts[gap] + 1):
-            seg_map[(gap, s)] = (gap_map[gap], mg[s])
-
-    rw = _rebuild(d, new_events, seg_map, "push-off produced an invalid word")
-    if len(rw.fresh) != 1:
-        raise MoveError("push-off did not create exactly one companion")
-    return rw, rw.fresh[0], gap_map
+                new_events.append(Event("X", q))
+        gap_map[i + 1] = len(new_events)
+        below = under(i + 1)
+        map_gap(i + 1, below)
+    return new_events, seg_map, gap_map
 
 
 # ---------------------------------------------------------------------------

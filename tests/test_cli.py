@@ -26,10 +26,21 @@ def test_parse_round_trip(tmp_path, capsys, mazur_file):
     assert out == serialize_front(mazur_diagram())
 
 
+UNKNOT_WORD = "diagram u\nspin 0\nleft 0\nevents\n L1\n R1\nend\n"
+
+
 def test_parse_bad_file_exit_code(tmp_path):
     bad = tmp_path / "bad.front"
     bad.write_text("diagram x\nspin 0\nleft 0\nevents\n X1\nend\n")
     assert main(["parse", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("command", ["parse", "invariants"])
+def test_plus_component_with_one_node_exit_code(tmp_path, capsys, command):
+    bad = tmp_path / "bad.front"
+    bad.write_text(UNKNOT_WORD + "component u coeff +1 node+\n")
+    assert main([command, str(bad)]) == 4
+    assert "only one node decoration (convention (2))" in capsys.readouterr().err
 
 
 def test_invariants_json(capsys, mazur_file):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kirbyfront.diagram import (
+    COEFF_PLUS,
     ComponentAttr,
     Event,
     FrontDiagram,
@@ -148,6 +149,15 @@ def test_validate_dashed_link_needs_minus_target():
     )
     problems = validate_diagram(d)
     assert any("convention (3)" in p for p in problems)
+
+
+def test_validate_plus_component_needs_both_nodes_or_none():
+    events = word(("L", 1), ("R", 1))
+    for plus, minus in ((True, False), (False, True), (True, True), (False, False)):
+        attr = ComponentAttr(coefficient=COEFF_PLUS, node_plus=plus, node_minus=minus)
+        problems = validate_diagram(FrontDiagram(events=events, attrs=(attr,)))
+        one = ["component 1: +1 surgery with only one node decoration (convention (2))"]
+        assert problems == (one if plus != minus else [])
 
 
 def test_validate_spin_palindrome():

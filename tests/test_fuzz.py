@@ -11,6 +11,7 @@ from dataclasses import replace
 
 from kirbyfront.diagram import (
     COEFF_MINUS,
+    COEFF_PLUS,
     check_spin_symmetry,
     trace_components,
     validate_diagram,
@@ -30,6 +31,8 @@ from kirbyfront.moves import (
 from kirbyfront.wordops import exchange_canonical
 
 from conftest import random_diagram
+
+SLIDE_VARIANTS = [(sign, way) for sign in ("minus", "plus") for way in ("up", "down")]
 
 
 def test_randomized_move_contracts():
@@ -87,19 +90,30 @@ def test_randomized_move_contracts():
                     continue
                 out = uplus(d, a, b, site_at(g, s))
             elif kind in ("slide", "slideback"):
+                sign, direction = rng.choice(SLIDE_VARIANTS)
+                if sign == "plus":
+                    # slide over +1 unknots: the -1 components become +1
+                    d = replace(d, attrs=tuple(
+                        replace(a, coefficient=COEFF_PLUS) if a.coefficient else a
+                        for a in d.attrs
+                    ))
+                    chi = handle_census(d).euler
+                coeff = COEFF_PLUS if sign == "plus" else COEFF_MINUS
+                # slot offsets of the moving strand and of `over`: the
+                # moving strand runs below `over` for an up slide
+                dm, do = (0, 1) if direction == "up" else (1, 0)
                 cands = [
-                    (g, s, tr.seg_comp[(g, s)], tr.seg_comp[(g, s + 1)])
+                    (g, s, tr.seg_comp[(g, s + dm)], tr.seg_comp[(g, s + do)])
                     for g in range(len(d.events) + 1)
                     for s in range(1, tr.counts[g])
                     if tr.seg_comp[(g, s)] != tr.seg_comp[(g, s + 1)]
-                    and d.attrs[tr.seg_comp[(g, s + 1)] - 1].coefficient
-                    == COEFF_MINUS
-                    and tr.components[tr.seg_comp[(g, s + 1)] - 1].closed
+                    and d.attrs[tr.seg_comp[(g, s + do)] - 1].coefficient == coeff
+                    and tr.components[tr.seg_comp[(g, s + do)] - 1].closed
                 ]
                 if not cands:
                     continue
                 g, s, m, o = rng.choice(cands)
-                out = handleslide(d, m, o, "minus_up", site_at(g, s))
+                out = handleslide(d, m, o, f"{sign}_{direction}", site_at(g, s))
                 assert (
                     len(trace_components(out.diagram).components)
                     == len(tr.components)
@@ -121,7 +135,8 @@ def test_randomized_move_contracts():
                                     out.diagram,
                                     out.old_to_new[m],
                                     out.old_to_new[o],
-                                    "minus_down",
+                                    # the variant of the coefficient of `over`
+                                    f"{sign}_down",
                                     site_at(j, evs[j].pos, e1=j + width),
                                 )
                             except MoveError:

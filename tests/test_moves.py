@@ -14,7 +14,7 @@ from kirbyfront.diagram import (
     trace_components,
     validate_diagram,
 )
-from kirbyfront.families import trivial_bypass_pair, unknot
+from kirbyfront.families import cieliebak_diagram, trivial_bypass_pair, unknot
 from kirbyfront.invariants import classical_invariants, crossing_data, handle_census
 from kirbyfront.moves import (
     MoveError,
@@ -221,6 +221,35 @@ def test_handleslide_spun_round_trip():
         site_at(j, evs[j].pos, e1=j + 4),
     )
     assert back.diagram.events == sp.events
+
+
+def test_handleslide_round_trip_keeps_dashed_links_to_the_moving_component():
+    """Removing the junction splits the moving component in two; links to
+    it follow the lane that stays, not the freed circuit."""
+    tb_pair, n, np1 = trivial_bypass_pair()
+    d = birth_cancel_pair(tb_pair, site_at(2, 2), "birth").diagram
+    assert d.attrs[np1 - 1].dashed_links == (n,) == (2,)
+    r = handleslide(d, 2, 3, "plus_up", site_at(3, 1))
+    back = handleslide(
+        r.diagram, r.old_to_new[2], r.old_to_new[3], "plus_up", site_at(5, 1, e1=8)
+    )
+    assert back.diagram.events == d.events and back.diagram.attrs == d.attrs
+    # the pair still meets convention (3), so it cancels
+    assert len(cancel_trivial_bypass(back.diagram, n, np1).diagram.attrs) == 2
+
+
+def test_slide_back_erases_the_push_off_not_the_moving_component():
+    """The moving +1 unknot has the cusp and crossing profile of the
+    push-off of the +1 unknot it slid over; the slide back still erases
+    the push-off."""
+    d = birth_cancel_pair(cieliebak_diagram(0, 1), site_at(3, 2), "birth").diagram
+    assert " ".join(f"{e.kind}{e.pos}" for e in d.events) == (
+        "L1 L1 R2 L2 L3 X4 X4 R3 R2 L2 R1 R1"
+    )
+    r = handleslide(d, 3, 2, "plus_down", site_at(5, 2))
+    assert (r.old_to_new[3], r.old_to_new[2]) == (2, 3)
+    back = handleslide(r.diagram, 2, 3, "plus_down", site_at(7, 3, e1=10))
+    assert back.diagram == d
 
 
 def test_handleslide_refuses_an_off_axis_spun_split():
