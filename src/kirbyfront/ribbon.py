@@ -305,32 +305,61 @@ def _relabel(rows, where, twist, disk, rot, best):
     return None if tied else out
 
 
-def _head(darts, rot, twist):
-    """The first two items of the candidate starting at slot rot, read off
-    without the search: the start band's code, then the end of the row
-    (-1, which sorts before every code) or the next dart's code."""
-    n = len(darts)
-    if n == 0:
-        return (-1,)
-    x = darts[rot]
-    t = twist[x >> 1]
-    if n == 1:
-        return (t, -1)
-    y = darts[(rot + 1) % n]
-    return (t, t if y == x ^ 1 else 2 + twist[y >> 1])
-
-
 def _component_codes(rows, where, twist, members):
-    """The least relabelling of one component, as a tuple of code rows."""
-    starts = [(d, rot) for d in members for rot in range(max(1, len(rows[d])))]
-    heads = [_head(rows[d], rot, twist) for d, rot in starts]
-    low = min(heads)
+    """The least relabelling of one component, as a tuple of code rows.
+
+    A relabelling's first row is its start row, which needs no search, so
+    every start (disk, rotation) is first compared over its start row one
+    slot at a time, and only the least go on to ``_relabel``.  With N
+    darts in all, a dart whose mate lies b slots back on the same disk,
+    already read, codes 2 (N - b) + twist; a dart of a new band codes
+    2 N + twist; a row that ends sorts before every code.  These sort as
+    the relabelling's codes do: given equal prefixes a band's label grows
+    with its mate's slot, so a larger b means a smaller label, and a new
+    band takes a label above every band already read.
+    """
+    big = 2 * len(where)
+    starts = []
+    lengths = set()
+    for d in members:
+        row = rows[d]
+        n = len(row)
+        slot = []  # (b, read code, new code), with b = n for a mate elsewhere
+        for k, x in enumerate(row):
+            new = big + twist[x >> 1]
+            e, m = where[x ^ 1]
+            b = (k - m) % n if e == d else n
+            slot.append((b, new - 2 * b, new))
+        slot += slot  # the k-th slot read from rot is slot[rot + k]
+        lengths.add(n)
+        starts += [(slot, rot, d) for rot in range(max(1, n))]
+    k = 0
+    while len(starts) > 1:
+        if k in lengths:
+            done = [st for st in starts if len(st[0]) == 2 * k]
+            if done:  # a row that ends here is a prefix of the others
+                starts = done
+                break
+        low = big + 2
+        keep = []
+        for st in starts:
+            b, code, new = st[0][st[1] + k]
+            if b > k:
+                code = new
+            if code < low:
+                low = code
+                keep = [st]
+            elif code == low:
+                keep.append(st)
+        starts = keep
+        k += 1
+    if len(members) == 1:
+        starts = starts[:1]  # the start row is the whole key, so the rest tie
     best = None
-    for (d, rot), head in zip(starts, heads):
-        if head == low:  # any other start loses by its second item
-            cand = _relabel(rows, where, twist, d, rot, best)
-            if cand is not None:
-                best = cand
+    for _slot, rot, d in starts:
+        cand = _relabel(rows, where, twist, d, rot, best)
+        if cand is not None:
+            best = cand
     # tuples of lists, not of generators: tuple(<generator>) over-allocates
     # and then shrinks, which raised the peak RSS of a key-heavy search
     return tuple([tuple(row) for row in best])
@@ -371,7 +400,10 @@ def normalize_surface(s, target):
     A transposition keeps the disks, the bands and their twists, so the
     search indexes s once and then runs on its dart rows alone: a child
     is the rows with two darts swapped, keyed by the codes of its least
-    relabelling and tested by its boundary count.
+    relabelling and tested by its boundary count.  A child whose rows are
+    those of a surface the search already took in has its key in the seen
+    set, and is skipped before it is keyed; it still counts towards the
+    budget, as every child does.
     """
     if target not in ("planar", "connected"):
         raise RibbonError(f"unknown normalization target {target!r}")
@@ -391,6 +423,7 @@ def normalize_surface(s, target):
         return []
     members = range(len(rows))
     seen = {_component_codes(rows, where, twist, members)}
+    accepted = {rows}  # the rows the queue took in, whose keys are in seen
     queue = deque([(rows, where, [])])
     keyed = 0
     while queue:
@@ -410,12 +443,15 @@ def normalize_surface(s, target):
                 swapped = list(row)
                 swapped[a], swapped[b] = y, x
                 child = rows[:i] + (tuple(swapped),) + rows[i + 1:]
+                if child in accepted:
+                    continue
                 moved = where.copy()
                 moved[x], moved[y] = (i, b), (i, a)
                 key = _component_codes(child, moved, twist, members)
                 if key in seen:
                     continue
                 seen.add(key)
+                accepted.add(child)
                 steps = path + [(s.disks[i], a)]
                 if _boundary_count(child, twist) == want:
                     return steps

@@ -543,11 +543,16 @@ def test_canonical_key_matches_original_on_seeded_corpus(monkeypatch):
     for s in corpus:
         assert canonical_key(s) == old_canonical_key(s), serialize_ribbon(s)
     assert len([s for s in corpus if is_orientable(s)]) > 300
-    # the surfaces each search keys: equal counts show that both searches
-    # merge the same children, which equal step lists alone need not show
-    keyed = {}
-    count_calls(monkeypatch, ribbon, "_component_codes", keyed)
-    count_calls(monkeypatch, sys.modules[__name__], "old_canonical_key", keyed)
+    # the surfaces each search takes in: the new search counts the start's
+    # boundary and each new child's, the old one takes the invariants of
+    # each, so equal counts show that both searches merge the same children,
+    # which equal step lists alone need not show.  The new search keys no
+    # more children than the old, as it skips rows it has taken in already.
+    calls = {}
+    count_calls(monkeypatch, ribbon, "_component_codes", calls)
+    count_calls(monkeypatch, ribbon, "_boundary_count", calls)
+    count_calls(monkeypatch, sys.modules[__name__], "old_canonical_key", calls)
+    count_calls(monkeypatch, sys.modules[__name__], "surface_invariants", calls)
     # this draw has searches where a key without the twist bit merges
     # children that a key with it keeps apart
     rng = random.Random(1)
@@ -556,13 +561,146 @@ def test_canonical_key_matches_original_on_seeded_corpus(monkeypatch):
     found = []
     for s in corpus + three_disk:
         for target in ("planar", "connected"):
-            keyed.clear()
+            calls.clear()
             new = _outcome(normalize_surface, s, target)
+            # read before the old search, whose surface_invariants counts too
+            taken_in = calls.get("_boundary_count", 0)
             old = _outcome(old_normalize_surface, s, target)
-            assert (new, keyed.get("_component_codes")) == (
-                old, keyed.get("old_canonical_key")), (target, serialize_ribbon(s))
+            context = (target, serialize_ribbon(s))
+            assert new == old, context
+            if taken_in:
+                assert taken_in == calls.get("surface_invariants"), context
+            assert calls.get("_component_codes", 0) <= calls.get("old_canonical_key", 0), context
             found.append(new)
     assert sum(isinstance(o, str) for o in found[:2 * len(corpus)]) == 506
+
+
+# The key the start-row refinement replaced, kept verbatim as the reference;
+# only the two names gained an old_ prefix, and _relabel is the module's.
+_relabel = ribbon._relabel
+
+
+def old_head(darts, rot, twist):
+    """The first two items of the candidate starting at slot rot, read off
+    without the search: the start band's code, then the end of the row
+    (-1, which sorts before every code) or the next dart's code."""
+    n = len(darts)
+    if n == 0:
+        return (-1,)
+    x = darts[rot]
+    t = twist[x >> 1]
+    if n == 1:
+        return (t, -1)
+    y = darts[(rot + 1) % n]
+    return (t, t if y == x ^ 1 else 2 + twist[y >> 1])
+
+
+def old_component_codes(rows, where, twist, members):
+    """The least relabelling of one component, as a tuple of code rows."""
+    starts = [(d, rot) for d in members for rot in range(max(1, len(rows[d])))]
+    heads = [old_head(rows[d], rot, twist) for d, rot in starts]
+    low = min(heads)
+    best = None
+    for (d, rot), head in zip(starts, heads):
+        if head == low:  # any other start loses by its second item
+            cand = _relabel(rows, where, twist, d, rot, best)
+            if cand is not None:
+                best = cand
+    # tuples of lists, not of generators: tuple(<generator>) over-allocates
+    # and then shrinks, which raised the peak RSS of a key-heavy search
+    return tuple([tuple(row) for row in best])
+
+
+def band_pattern(feet, nbands, odd=(), split=None):
+    """A surface from a list of feet (band index, end) in cyclic order on
+    disk d; bands in odd get one half twist.  With split, the feet from
+    that slot on go to a second disk e."""
+    bands = tuple(Band(f"b{j}", 1 if j in odd else 0) for j in range(nbands))
+    ring = [(f"b{j}", end) for j, end in feet]
+    if split is None:
+        return DiskBandSurface(("d",), bands, {"d": tuple(ring)})
+    return DiskBandSurface(("d", "e"), bands, {"d": tuple(ring[:split]),
+                                               "e": tuple(ring[split:])})
+
+
+def annulus_chain(n, first=0):
+    """n annuli in a row on one disk: every other start ties to the end."""
+    return [(first + j, end) for j in range(n) for end in (0, 1)]
+
+
+def interleaved_pairs(n):
+    """n pairs of bands, each pair a b a b: genus n on one disk."""
+    return [(2 * k + j, end) for k in range(n) for end in (0, 1) for j in (0, 1)]
+
+
+def tie_heavy_surfaces():
+    """Annulus chains, interleaved pairs and pairs followed by a chain, with
+    no, some and every other band odd, on one disk and cut onto two.  Every
+    other band odd sets a twisted annulus against an odd band of a pair."""
+    out = []
+    for n in (50, 200):
+        pairs = n // 4
+        for feet in (annulus_chain(n), interleaved_pairs(n // 2),
+                     interleaved_pairs(pairs) + annulus_chain(n - 2 * pairs, 2 * pairs)):
+            for odd in ((), range(0, n, 7), range(0, n, 2)):
+                out.append(band_pattern(feet, n, odd=set(odd)))
+            # cut onto two disks at slot n, and at slot n + 1 with two odd bands
+            out.append(band_pattern(feet, n, split=n))
+            out.append(band_pattern(feet, n, split=n + 1, odd={0, n // 2}))
+    # every band runs from disk d to disk e, in the same order on both
+    ladder = [(j, 0) for j in range(60)] + [(j, 1) for j in range(60)]
+    out.append(band_pattern(ladder, 60, split=60))
+    out.append(band_pattern(ladder, 60, split=60, odd=set(range(0, 60, 5))))
+    return out
+
+
+def test_component_codes_match_the_head_filter():
+    rng = random.Random(1)
+    three_disk = [random_three_disk(rng, 6) for _ in range(24)]
+    three_disk += [renamed_copy(rng, s) for s in three_disk]
+    wide = tie_heavy_surfaces()
+    assert {len(s.bands) for s in wide} >= {50, 200}
+    assert any(len(s.disks) == 2 and is_connected(s) for s in wide)
+    compared = 0
+    for s in differential_corpus() + three_disk + all_surfaces(3) + wide:
+        rows, where, twist = ribbon._darts(s)
+        for members in ribbon._components(rows, where):
+            assert ribbon._component_codes(rows, where, twist, members) == \
+                old_component_codes(rows, where, twist, members), serialize_ribbon(s)
+            compared += 1
+    assert compared == 654
+
+
+def test_one_disk_keys_relabel_once(monkeypatch):
+    """A structural guard on the start-row refinement: every start of a
+    one-disk component that survives it ties, so one relabelling is made."""
+    calls = {}
+    count_calls(monkeypatch, ribbon, "_relabel", calls)
+    count_calls(monkeypatch, ribbon, "_component_codes", calls)
+    one_disk = [s for s in differential_corpus() if len(s.disks) == 1]
+    assert len(one_disk) == 2 * (5 + 18 + 105)
+    for s in one_disk:
+        calls.clear()
+        canonical_key(s)
+        assert calls == {"_relabel": 1, "_component_codes": 1}, serialize_ribbon(s)
+        for target in ("planar", "connected"):
+            calls.clear()
+            _outcome(normalize_surface, s, target)
+            assert calls.get("_relabel") == calls.get("_component_codes"), serialize_ribbon(s)
+
+
+def test_search_budget_counts_every_child(monkeypatch):
+    """The least budget at which the one-disk genus-3 search succeeds: a
+    child skipped before it is keyed still counts its darts."""
+    s = surf("disk d\n" + "".join(
+        f"band a{k} d.{4 * k} d.{4 * k + 2}\nband b{k} d.{4 * k + 1} d.{4 * k + 3}\n"
+        for k in range(3)))
+    assert surface_invariants(s).genus == 3
+    monkeypatch.setattr(ribbon, "DART_BUDGET", 828)
+    assert normalize_surface(s, "planar") == [("d", 0), ("d", 4), ("d", 8)]
+    monkeypatch.setattr(ribbon, "DART_BUDGET", 827)
+    with pytest.raises(RibbonError, match=r"search budget exceeded \(827 darts keyed\)"):
+        normalize_surface(s, "planar")
 
 
 def test_search_runs_on_dart_rows(monkeypatch):
