@@ -39,8 +39,9 @@ from .wordops import (
     MoveError,
     MoveResult,
     _push_off,
+    _rebuild,
+    _splice_word,
     _try_swap,
-    double_component,
     erase_components,
     erase_segments,
     exchange_canonical,
@@ -120,8 +121,8 @@ def _check_spin(d):
 
 
 def _spin_windows(d, i0, i1, new_events):
-    """Splice windows realizing a rewrite spin-symmetrically, ordered so
-    earlier splices do not shift later windows."""
+    """The splice windows of a rewrite of ``d``, in word order: the site
+    and, on a spun diagram, its mirror site with the mirrored template."""
     if d.spin == 0:
         return [(i0, i1, tuple(new_events))]
     n = len(d.events)
@@ -134,36 +135,20 @@ def _spin_windows(d, i0, i1, new_events):
             )
         return [(i0, i1, tuple(new_events))]
     if j0 >= i1:
-        return [(j0, j1, mev), (i0, i1, tuple(new_events))]
-    if i0 >= j1:
         return [(i0, i1, tuple(new_events)), (j0, j1, mev)]
+    if i0 >= j1:
+        return [(j0, j1, mev), (i0, i1, tuple(new_events))]
     raise MoveError(
         "mirrored site overlaps the primary site inconsistently (spin symmetry)"
     )
 
 
 def _spin_splice(d, i0, i1, new_events, merge=None):
-    """:func:`splice` at the site and, on a spun diagram, at its mirror
+    """One :func:`splice` at the site and, on a spun diagram, at its mirror
     site."""
-    windows = _spin_windows(d, i0, i1, new_events)
-    cur = d
-    old_to_new = None
-    fresh_all = []
-    for (a, b, evs) in windows:
-        rw = splice(cur, a, b, evs, merge=merge)
-        if old_to_new is None:
-            old_to_new = rw.old_to_new
-        else:
-            old_to_new = {
-                k: rw.old_to_new[v]
-                for k, v in old_to_new.items()
-                if v in rw.old_to_new
-            }
-            fresh_all = [rw.old_to_new[c] for c in fresh_all if c in rw.old_to_new]
-        fresh_all += rw.fresh
-        cur = rw.diagram
-    _check_spin(cur)
-    return MoveResult(cur, old_to_new, fresh_all)
+    rw = splice(d, _spin_windows(d, i0, i1, new_events), merge=merge)
+    _check_spin(rw.diagram)
+    return rw
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +299,6 @@ def uplus(d, a, b, site):
     )
 
     def merge(cids, attrs):
-        # at the mirrored junction of a spun diagram the ids are already
-        # renumbered, so fall back to the first source
         idx = cids.index(a) if a in cids else 0
         merged = _merge_union(cids, attrs)
         return replace(merged, orientation=attrs[idx].orientation)
@@ -373,36 +356,20 @@ def handleslide(d, moving, over, variant, site):
         f"over strand is not component {over} at the site",
     )
 
-    push_side = "below" if side == "up" else "above"
-    rw, companion, gap_map = double_component(d, over, push_side)
-    d2 = rw.diagram
-    tr2 = trace_components(d2)
-    moving2 = rw.old_to_new[moving]
+    events, seg_map, gap_map = _push_off(d, over, "below" if side == "up" else "above")
+    pushed = replace(d, events=tuple(events), attrs=())
     gap = gap_map[site.e0]
-    # locate the junction slot: the moving strand right next to the companion
-    lower, upper = (moving2, companion) if side == "up" else (companion, moving2)
-    candidates = [
-        slot
-        for slot in range(1, tr2.counts[gap] + 1)
-        if tr2.seg_comp.get((gap, slot)) == lower
-        and tr2.seg_comp.get((gap, slot + 1)) == upper
-    ]
-    _require(candidates, "push-off did not land next to the moving strand")
-    q = min(candidates, key=lambda slot: abs(slot - s))
-
-    def merge(cids, attrs):
-        merged = _merge_union(cids, attrs)
-        idx = cids.index(moving2) if moving2 in cids else 0
-        keep = attrs[idx]
-        return replace(merged, label=keep.label, orientation=keep.orientation)
-
-    res = _spin_splice(d2, gap, gap, _junction_for(d2, gap, q), merge=merge)
+    # the junction joins the site's moving strand to the companion next to it
+    q = seg_map[(site.e0, moving_slot)][1] - (side == "down")
+    windows = _spin_windows(pushed, gap, gap, _junction_for(pushed, gap, q))
+    events, shifted = _splice_word(events, windows)
+    seg_map = {old: (shifted[g], slot) for old, (g, slot) in seg_map.items()}
+    error = "rewrite produces an invalid word"
+    res = _rebuild(d, events, seg_map, error, merge=_merge_union)
+    _check_spin(res.diagram)
     # off the spin axis the mirrored junction can split what the site joined
     _require(len(res.diagram.attrs) <= len(d.attrs),
              f"the mirrored junction splits component {moving} (spin symmetry)")
-    res.old_to_new = {
-        k: res.old_to_new[v] for k, v in rw.old_to_new.items() if v in res.old_to_new
-    }
     return res
 
 
@@ -420,8 +387,8 @@ def _slide_back(d, moving, over, site):
         "junction strands do not belong to the moving component",
     )
     windows = _spin_windows(d, i, i + width, ())
-    res = _spin_splice(d, i, i + width, ())
-    d2 = res.diagram
+    res = splice(d, windows)
+    d2 = _check_spin(res.diagram)
     tr2 = trace_components(d2)
     # removing the junction splits `moving`: one lane continues as the
     # surviving component, the other belongs to the freed parallel circuit

@@ -1,10 +1,10 @@
 """Low-level rewriting machinery on event words.
 
-Every rewrite here preserves the boundary data of the region it touches:
-templates are designed so that the strand slots entering and leaving the
-rewritten window are unchanged.  That makes splicing safe without global
-renumbering and lets component attributes ride along via the segment
-correspondence outside the window.
+A rewrite is one word edit, one segment map from the input word to the
+output and one rebuild, which traces only those two words.  A splice
+replaces windows of the word by templates that keep the strand slots
+entering and leaving each window, so component attributes ride along the
+segments outside the windows without global renumbering.
 """
 
 from __future__ import annotations
@@ -71,33 +71,54 @@ def _rebuild(d, events, seg_map, error, merge=None):
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
-def splice(d, i0, i1, new_events, merge=None):
-    """Replace events[i0:i1] by ``new_events``.
+def _splice_word(events, windows):
+    """The word ``events`` with each window ``(i0, i1, new_events)`` of
+    ``windows``, given in word order, replaced, and the gap map: each gap
+    outside the windows to its gap in that word.  A gap at an insertion
+    lands right of what is inserted there."""
+    out = []
+    gap_map = {}
+    pos = 0
+    # an empty window at the end maps the gaps after the last window
+    for i0, i1, new_events in [*windows, (len(events), len(events), ())]:
+        if not (pos <= i0 <= i1 <= len(events)):
+            raise MoveError(f"event range [{i0}, {i1}) outside the word")
+        shift = len(out) - pos
+        for g in range(pos, i0 + 1):
+            gap_map[g] = g + shift
+        out += events[pos:i0]
+        out += new_events
+        pos = i1
+    return out, gap_map
 
-    The replacement must preserve the strand count and slot correspondence
-    at both edges of the window; segments outside the window keep their
-    (gap, slot) address up to the uniform gap shift.
+
+def splice(d, windows, merge=None):
+    """Replace each window ``(i0, i1, new_events)`` of ``windows``, given in
+    word order, in one rewrite.
+
+    Each replacement must preserve the strand count at both edges of its
+    window; a segment outside the windows keeps its slot, and its gap moves
+    by the length change of the windows left of it.
     """
-    if not (0 <= i0 <= i1 <= len(d.events)):
-        raise MoveError(f"event range [{i0}, {i1}) outside the word")
-    events = d.events[:i0] + tuple(new_events) + d.events[i1:]
+    events, gap_map = _splice_word(d.events, windows)
     error = "rewrite produces an invalid word"
     try:
         new_counts = strand_counts(events, d.left_count)
     except ValidationError as exc:
         raise MoveError(f"{error}: {exc}") from exc
     old_counts = trace_components(d).counts
-    shift = len(new_events) - (i1 - i0)
-    if new_counts[i0] != old_counts[i0] or new_counts[i1 + shift] != old_counts[i1]:
-        raise MoveError("rewrite does not preserve the window boundary")
-
-    seg_map = {}
-    for g in range(0, i0 + 1):
-        for s in range(1, old_counts[g] + 1):
-            seg_map[(g, s)] = (g, s)
-    for g in range(i1, len(d.events) + 1):
-        for s in range(1, old_counts[g] + 1):
-            seg_map[(g, s)] = (g + shift, s)
+    for i0, i1, new_events in windows:
+        right = gap_map[i1]
+        if (
+            new_counts[right - len(new_events)] != old_counts[i0]
+            or new_counts[right] != old_counts[i1]
+        ):
+            raise MoveError("rewrite does not preserve the window boundary")
+    seg_map = {
+        (g, s): (ng, s)
+        for g, ng in gap_map.items()
+        for s in range(1, old_counts[g] + 1)
+    }
     return _rebuild(d, events, seg_map, error, merge=merge)
 
 

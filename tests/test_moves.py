@@ -11,6 +11,7 @@ from kirbyfront.diagram import (
     FrontDiagram,
     check_spin_symmetry,
     default_attrs,
+    parse_front,
     trace_components,
     validate_diagram,
 )
@@ -260,6 +261,26 @@ def test_handleslide_refuses_an_off_axis_spun_split():
     assert len(d.attrs) == 2
     with pytest.raises(MoveError, match="mirrored junction splits component 1"):
         handleslide(d, 1, 2, "minus_down", site_at(2, 2))
+
+
+def test_a_forward_slide_puts_the_junction_at_the_site_strand():
+    """After c is pushed off, the moving component m runs through the
+    site's gap twice, each time right above the companion.  The junction
+    joins the site's own strand of m (slot 8 there) to the companion, not
+    the other one (slot 3), which is nearer the site's slot 4; the slide
+    back at that junction restores the input."""
+    d = parse_front(
+        "events\nL1 L1 L5 R3 R1 L2 L3 X4 X1 R5 R2 R1\nend\n"
+        "component a coeff -1\ncomponent b\ncomponent c coeff -1\ncomponent m\n"
+    )
+    r = handleslide(d, 4, 3, "minus_down", site_at(7, 4))
+    assert r.diagram.word() == (
+        "L1 L1 L5 L5 X6 R3 R1 L3 L4 L4 X5 X7 R7 L7 X7 X6 X2 X1 X8 R7 R7 X3 R2 R2 R1"
+    )
+    back = handleslide(
+        r.diagram, r.old_to_new[4], r.old_to_new[3], "minus_up", site_at(11, 7, e1=14)
+    )
+    assert back.diagram.events == d.events and back.diagram.attrs == d.attrs
 
 
 # ---------------------------------------------------------------------------

@@ -678,7 +678,7 @@ def test_slide_backs_match_the_scans():
                     changes[_slide_back_change(got, old, d)] += 1
                 if isinstance(got, MoveResult) and got.diagram.events == d.events:
                     restored.add(id(res))
-    assert sum(hits.values()) == 1031
+    assert sum(hits.values()) == 1049
     assert changes == {
         ("restores", "another word"): 120,
         ("restores", "InvariantError"): 23,
@@ -703,7 +703,7 @@ def _slid_junction(d, res, over):
             windows = _spin_windows(slid, site.e0, site.e1, ())
         except MoveError:
             continue
-        for a, b, _new in windows:
+        for a, b, _new in reversed(windows):
             del events[a:b]
         if tuple(events) == doubled:
             return site

@@ -341,6 +341,20 @@ def test_no_move_traces_a_word_twice(traced, spin):
         assert traced(crossing_change, out, site_at(2, 2)).diagram == clasped
 
 
+def test_a_move_traces_only_its_input_and_its_output(computed, monkeypatch):
+    """From an empty memo, a forward slide traces no push-off diagram and a
+    spun clasp no half-done word: each traces its input, then its output."""
+    d0, d1 = _two_unknots(0), _two_unknots(1)
+    for d, move in (
+        (d0, lambda: handleslide(d0, 1, 2, "minus_up", site_at(2, 2))),
+        (d1, lambda: clasp(d1, site_at(1, 1), "clasp")),
+    ):
+        monkeypatch.setattr(diagram, "_last", (None, None, None))
+        computed.clear()
+        out = move().diagram
+        assert computed == [(d.left_count, d.events), (out.left_count, out.events)]
+
+
 # ---------------------------------------------------------------------------
 # The memo: the last word traced
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_pushoff_linking_equals_tb(d):
 def test_splice_rejects_boundary_breakage():
     d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("R", 1))))
     with pytest.raises(MoveError):
-        splice(d, 1, 1, (Event("L", 1),))
+        splice(d, [(1, 1, (Event("L", 1),))])
 
 
 def test_erase_components_rejects_interleaving():
@@ -327,6 +327,12 @@ def _oracle_splice(d, i0, i1, new_events, merge=None, fresh_attr=None, name=None
         d, new_trace, seg_map, merge=merge, fresh_attr=fresh_attr
     )
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _oracle_window(d, windows, merge):
+    """The oracle splice of the one window in ``windows``."""
+    ((i0, i1, new_events),) = windows
+    return _oracle_splice(d, i0, i1, new_events, merge)
 
 
 def _expected_erase_components(d, cids):
@@ -858,8 +864,8 @@ def test_rewrites_match_parent_oracles(monkeypatch):
                     (double_component, _oracle_double_component, (d, comp.cid, side))
                 )
         for i0, i1, evs, merge in _splices(rng, d, 10):
-            args = (d, i0, i1, evs, merge)
-            pairs.append((splice, _oracle_splice, args))
+            args = (d, [(i0, i1, evs)], merge)
+            pairs.append((splice, _oracle_window, args))
         for new, old, args in pairs:
             transports.clear()
             got = _result(new, *args)
