@@ -21,6 +21,7 @@ condition checked by :func:`check_spin_symmetry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 __all__ = [
     "COEFF_NONE",
@@ -189,7 +190,7 @@ def right_count(d):
 
 @dataclass
 class TracedComponent:
-    """Its segments are the ``seg_comp`` keys that map to ``cid``."""
+    """Its segments are those whose code has component ``cid``."""
 
     cid: int
     closed: bool
@@ -198,8 +199,13 @@ class TracedComponent:
 
 @dataclass
 class Trace:
-    """The component structure of one word: each strand segment is stored
-    once, as a key of ``seg_comp`` and of ``seg_dir``.
+    """The component structure of one word, as per-gap rows of strand codes.
+
+    A code names one strand from cusp or wall to cusp or wall; a crossing
+    keeps it.  ``rows[g]`` holds the codes of gap ``g``, slot s at index
+    s - 1; ``code_comp`` and ``code_dir`` give each code's component id and
+    direction (+1 where the canonical traversal runs rightward).  One
+    segment is read with :meth:`comp` and :meth:`dir`.
 
     A trace is shared only through the memo of :func:`trace_components`,
     which hands the trace of the last word it traced to every later call on
@@ -207,10 +213,24 @@ class Trace:
     must not be mutated.
     """
 
-    seg_comp: dict  # (gap, slot) -> cid
-    seg_dir: dict  # (gap, slot) -> +1 / -1; +1 means traversed rightward
+    rows: list  # per gap, a tuple of codes
+    code_comp: list  # code -> cid
+    code_dir: list  # code -> +1 / -1
     components: list  # TracedComponent, index cid-1
     counts: list  # strand count per gap
+
+    def _code(self, gap, slot):
+        if 0 <= gap < len(self.rows) and 0 < slot <= len(self.rows[gap]):
+            return self.rows[gap][slot - 1]
+        raise KeyError((gap, slot))
+
+    def comp(self, gap, slot):
+        """The component id of segment (gap, slot); KeyError if none."""
+        return self.code_comp[self._code(gap, slot)]
+
+    def dir(self, gap, slot):
+        """The direction of segment (gap, slot); KeyError if none."""
+        return self.code_dir[self._code(gap, slot)]
 
 
 def _walk(kinds, poss, start):
@@ -294,51 +314,107 @@ def trace_components(d):
 
 
 def _trace(d):
+    """One sweep of the word.  Piece k is a left-wall strand with code 2k,
+    or the strand born at a left cusp, with code 2k at its lower end and
+    2k + 1 at its upper one.  A right cusp joins its two pieces in a
+    union-find whose parity bit says whether a piece runs against its
+    root, so that the two ends of the cusp run in opposite directions
+    (Tarjan 1975)."""
     events = d.events
     counts = strand_counts(events, d.left_count)
-    nev = len(events)
-    kinds = [e.kind for e in events]
-    poss = [e.pos for e in events]
-    seg_comp = {}
-    seg_dir = {}
-    components = []
+    row = list(range(0, 2 * d.left_count, 2))
+    rows = [tuple(row)]
+    parent = list(range(d.left_count))
+    parity = [0] * d.left_count
+    size = [1] * d.left_count
     # A component's first-touched segment is at the left wall or is the
-    # lower strand born at its leftmost cusp.
+    # lower strand born at its leftmost cusp: the start of its first piece.
     starts = [(0, s) for s in range(1, d.left_count + 1)]
-    starts += [(i + 1, poss[i]) for i in range(nev) if kinds[i] == "L"]
-    for start in starts:
-        if start in seg_comp:
-            continue
-        path, closed = _walk(kinds, poss, start)
-        cid = len(components) + 1
-        gaps, slots, dirs = zip(*path)
-        # built from one dict, so each segment key is hashed once
-        comp_dir = dict(zip(zip(gaps, slots), dirs))
-        seg_dir.update(comp_dir)
-        seg_comp.update(dict.fromkeys(comp_dir, cid))
-        components.append(TracedComponent(cid=cid, closed=closed, start=start))
-    return Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
+
+    def find(k):
+        bit = 0
+        while parent[k] != k:
+            bit ^= parity[k]
+            k = parent[k]
+        return k, bit
+
+    for i, ev in enumerate(events):
+        p = ev.pos
+        if ev.kind == "X":
+            row[p - 1], row[p] = row[p], row[p - 1]
+        elif ev.kind == "L":
+            k = len(parent)
+            row[p - 1 : p - 1] = (2 * k, 2 * k + 1)
+            parent.append(k)
+            parity.append(0)
+            size.append(1)
+            starts.append((i + 1, p))
+        else:
+            a, b = row[p - 1], row[p]
+            del row[p - 1 : p + 1]
+            (ra, xa), (rb, xb) = find(a >> 1), find(b >> 1)
+            if ra != rb:
+                if size[ra] < size[rb]:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                parity[rb] = 1 ^ (a & 1) ^ (b & 1) ^ xa ^ xb
+                size[ra] += size[rb]
+        rows.append(tuple(row))
+
+    # number the components by their first piece and orient each so that
+    # its start reads +1
+    cid_of = {}
+    firsts = []
+    code_comp = []
+    code_dir = []
+    for k in range(len(parent)):
+        root, bit = find(k)
+        if root not in cid_of:
+            firsts.append(starts[k])
+            cid_of[root] = (len(firsts), bit)
+        cid, flip = cid_of[root]
+        code_comp += (cid, cid)
+        code_dir += (-1, 1) if bit ^ flip else (1, -1)
+    open_cids = {code_comp[c] for c in rows[0] + rows[-1]}
+    components = [
+        TracedComponent(cid=cid, closed=cid not in open_cids, start=start)
+        for cid, start in enumerate(firsts, start=1)
+    ]
+    return Trace(rows, code_comp, code_dir, components, counts)
 
 
-def _attrs_from_map(d, old_trace, new_trace, seg_map, merge=None):
+def _attrs_from_map(d, old_trace, new_trace, runs, merge=None):
     """Transport attributes along a partial segment map old->new.
 
-    ``old_trace`` is the trace of ``d``.  Returns (attrs, old_to_new,
-    fresh): new components no old segment maps to are fresh and get a bare
-    attribute.  ``merge`` resolves several old attributes landing on
-    one new component; without it a merge is an error.  An orientation
-    keeps the direction of travel along the first mapped segment of its
-    component, so it flips where the new canonical traversal runs that
-    segment the other way.
+    ``old_trace`` is the trace of ``d``.  The map is a list of runs
+    ``(gap, new_gap, slots)``: ``slots`` is None where every segment of
+    ``gap`` keeps its slot, else a tuple of (slot, new slot) pairs.
+    Returns (attrs, old_to_new, fresh): new components no old segment maps
+    to are fresh and get a bare attribute.  ``merge`` resolves several old
+    attributes landing on one new component; without it a merge is an
+    error.  An orientation keeps the direction of travel along the first
+    mapped segment of its component, so it flips where the new canonical
+    traversal runs that segment the other way.
     """
     ncomp = len(new_trace.components)
+    old_rows, new_rows = old_trace.rows, new_trace.rows
+    old_comp, old_dir = old_trace.code_comp, old_trace.code_dir
+    new_comp, new_dir = new_trace.code_comp, new_trace.code_dir
+    # the (old code, new code) of each mapped segment, in run order
+    pairs = chain.from_iterable(
+        zip(old_rows[g], new_rows[ng])
+        if slots is None
+        else [(old_rows[g][s - 1], new_rows[ng][t - 1]) for s, t in slots]
+        for g, ng, slots in runs
+    )
     # per new component: old component -> +1, or -1 where its traversal flips
     sources = [{} for _ in range(ncomp)]
-    for old_seg, new_seg in seg_map.items():
-        oc = old_trace.seg_comp[old_seg]
-        src = sources[new_trace.seg_comp[new_seg] - 1]
+    # every segment of one code pair reads the same components and directions
+    for o, n in dict.fromkeys(pairs):
+        oc = old_comp[o]
+        src = sources[new_comp[n] - 1]
         if oc not in src:
-            src[oc] = old_trace.seg_dir[old_seg] * new_trace.seg_dir[new_seg]
+            src[oc] = old_dir[o] * new_dir[n]
 
     old_to_new = {}
     for nc0, src in enumerate(sources):
@@ -388,9 +464,9 @@ def mirror(d):
     )
     # Segment (g, s) of d is segment (nev - g, s) of the mirror.
     nev = len(d.events)
+    runs = [(g, nev - g, None) for g in range(nev + 1)]
     old = trace_components(d)
-    seg_map = {(g, s): (nev - g, s) for (g, s) in old.seg_comp}
-    attrs, _, _ = _attrs_from_map(d, old, trace_components(mirrored), seg_map)
+    attrs, _, _ = _attrs_from_map(d, old, trace_components(mirrored), runs)
     # the mirror reverses x, so the direction of travel reverses with it
     attrs = tuple(replace(a, orientation=-a.orientation) for a in attrs)
     return replace(mirrored, attrs=attrs)
@@ -450,8 +526,9 @@ def validate_diagram(d):
 _EVENT_LETTERS = {"L", "X", "R"}
 
 # The most strand segments, summed over the gaps, that a parsed word may
-# have.  A trace keeps about 150 bytes per segment and peaks near 310 while
-# it is built, so this keeps a parse under 1 GiB.
+# have.  A trace keeps about 8 bytes per segment, one reference in a row,
+# and peaks near that while it is built; the limit also bounds the time of
+# a parse and of each move on the parsed word.
 MAX_SEGMENTS = 1_000_000
 
 

@@ -75,12 +75,12 @@ def crossing_data(d):
     for i, ev in enumerate(d.events):
         if ev.kind != "X":
             continue
-        back_seg = (i, ev.pos)  # moves up across the event
-        front_seg = (i, ev.pos + 1)  # moves down: in front
-        cb = tr.seg_comp[back_seg]
-        cf = tr.seg_comp[front_seg]
-        eps_b = tr.seg_dir[back_seg] * _orient(d, cb)
-        eps_f = tr.seg_dir[front_seg] * _orient(d, cf)
+        back = tr.rows[i][ev.pos - 1]  # moves up across the event
+        front = tr.rows[i][ev.pos]  # moves down: in front
+        cb = tr.code_comp[back]
+        cf = tr.code_comp[front]
+        eps_b = tr.code_dir[back] * _orient(d, cb)
+        eps_f = tr.code_dir[front] * _orient(d, cf)
         out.append((i, cf, cb, eps_f * eps_b))
     return out
 
@@ -97,24 +97,24 @@ def _tally(d, tr):
     pair ``(a, b)``, ``a <= b``, the ``(event index, sign)`` of each
     crossing between them in word order; self-crossings file under
     ``(a, a)``.  Signs are those of :func:`crossing_data`."""
-    seg_comp, seg_dir = tr.seg_comp, tr.seg_dir
+    rows, comp, dirs = tr.rows, tr.code_comp, tr.code_dir
     cusps = {c.cid: [0, 0, 0, 0] for c in tr.components}
     pairs = {}
     for i, ev in enumerate(d.events):
         p = ev.pos
         if ev.kind == "X":
-            back, front = (i, p), (i, p + 1)
-            cb, cf = seg_comp[back], seg_comp[front]
-            sign = seg_dir[back] * _orient(d, cb) * seg_dir[front] * _orient(d, cf)
+            back, front = rows[i][p - 1], rows[i][p]
+            cb, cf = comp[back], comp[front]
+            sign = dirs[back] * _orient(d, cb) * dirs[front] * _orient(d, cf)
             pairs.setdefault((cb, cf) if cb <= cf else (cf, cb), []).append((i, sign))
             continue
         left = ev.kind == "L"
-        gap = i + 1 if left else i
-        cid = seg_comp[(gap, p)]
+        row = rows[i + 1] if left else rows[i]
+        cid = comp[row[p - 1]]
         # Leaving a left cusp rightward along the lower strand means the
         # traversal came down through the cusp; at a right cusp arriving
         # rightward along the lower strand means it goes up.
-        up = seg_dir[(gap, p + 1) if left else (gap, p)] * _orient(d, cid) > 0
+        up = dirs[row[p] if left else row[p - 1]] * _orient(d, cid) > 0
         counts = cusps[cid]
         counts[0 if left else 1] += 1
         counts[2 if up else 3] += 1

@@ -70,7 +70,7 @@ def crossing_change_macro(d, site):
         "macro site does not address a crossing",
     )
     tr = trace_components(d)
-    upper = tr.seg_comp[(i, s + 1)]
+    upper = tr.comp(i, s + 1)
 
     b = _Builder(d)
     b.apply("stabilize", site_at(i, s + 1), comp=upper)
@@ -108,7 +108,7 @@ def destabilize_macro(d, c, site):
     )
     tr = trace_components(d)
     _require(
-        tr.seg_comp[(i, s)] == c,
+        tr.comp(i, s) == c,
         f"zigzag at the site does not belong to component {c}",
     )
 
@@ -127,14 +127,12 @@ def destabilize_macro(d, c, site):
     # panel 3: slide the zigzag strand down across the -1 unknot
     slide_gap = i + 7
     tr2 = trace_components(b.cur)
+    comps = [tr2.code_comp[code] for code in tr2.rows[slide_gap]]
     over_slot = None
-    for slot in range(1, tr2.counts[slide_gap]):
-        if (
-            tr2.seg_comp.get((slide_gap, slot)) == yid
-            and tr2.seg_comp.get((slide_gap, slot + 1)) not in (yid, gid)
-        ):
+    for slot in range(1, len(comps)):
+        if comps[slot - 1] == yid and comps[slot] not in (yid, gid):
             over_slot = slot
-            kid = tr2.seg_comp[(slide_gap, slot + 1)]
+            kid = comps[slot]
     _require(over_slot is not None, "zigzag strand did not land above the -1 unknot")
     res = b.apply(
         "handleslide",

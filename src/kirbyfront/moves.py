@@ -40,6 +40,7 @@ from .wordops import (
     MoveResult,
     _push_off,
     _rebuild,
+    _segments,
     _splice_word,
     _try_swap,
     erase_components,
@@ -109,7 +110,7 @@ def _attr(d, cid):
 
 def _strand_comp(tr, gap, slot):
     try:
-        return tr.seg_comp[(gap, slot)]
+        return tr.comp(gap, slot)
     except KeyError:
         raise MoveError(f"no strand at gap {gap}, slot {slot}") from None
 
@@ -356,16 +357,24 @@ def handleslide(d, moving, over, variant, site):
         f"over strand is not component {over} at the site",
     )
 
-    events, seg_map, gap_map = _push_off(d, over, "below" if side == "up" else "above")
+    if d.spin > 0:
+        g, slot = tr.components[over - 1].start
+        _require(
+            _strand_comp(tr, len(d.events) - g, slot) == over,
+            f"component {over} is not its own mirror image (spin symmetry)",
+        )
+
+    events, runs, gap_map = _push_off(d, over, "below" if side == "up" else "above")
     pushed = replace(d, events=tuple(events), attrs=())
     gap = gap_map[site.e0]
-    # the junction joins the site's moving strand to the companion next to it
-    q = seg_map[(site.e0, moving_slot)][1] - (side == "down")
+    # the junction joins the site's moving strand to the companion next to it;
+    # run g of the push-off maps gap g, every slot in order
+    q = runs[site.e0][2][moving_slot - 1][1] - (side == "down")
     windows = _spin_windows(pushed, gap, gap, _junction_for(pushed, gap, q))
     events, shifted = _splice_word(events, windows)
-    seg_map = {old: (shifted[g], slot) for old, (g, slot) in seg_map.items()}
+    runs = [(g, shifted[ng], slots) for g, ng, slots in runs]
     error = "rewrite produces an invalid word"
-    res = _rebuild(d, events, seg_map, error, merge=_merge_union)
+    res = _rebuild(d, events, runs, error, merge=_merge_union)
     _check_spin(res.diagram)
     # off the spin axis the mirrored junction can split what the site joined
     _require(len(res.diagram.attrs) <= len(d.attrs),
@@ -410,9 +419,8 @@ def _slide_back(d, moving, over, site):
             replace(a, dashed_links=tuple(relink.get(t, t) for t in a.dashed_links))
             for a in d2.attrs
         )
-        segs = {seg for seg, c in tr2.seg_comp.items() if c == circuit}
         try:
-            rw = erase_segments(replace(d2, attrs=attrs), segs)
+            rw = erase_segments(replace(d2, attrs=attrs), _segments(tr2, {circuit}))
             # the freed circuit is the push-off of `over`: pushing `over`
             # off again (the same word on either side) rebuilds d2
             rebuilt = _push_off(rw.diagram, rw.old_to_new[over2], "below")[0]
@@ -669,11 +677,13 @@ def _r_templates(s):
 
 
 def _strands_have_nodes(d, tr, gap, slots):
+    if not d.attrs:
+        return False
     for s in slots:
-        cid = tr.seg_comp.get((gap, s))
-        if cid is None or not d.attrs:
+        try:
+            a = d.attrs[tr.comp(gap, s) - 1]
+        except KeyError:  # no strand there
             continue
-        a = d.attrs[cid - 1]
         if a.node_plus or a.node_minus:
             return True
     return False

@@ -1,10 +1,13 @@
 """Low-level rewriting machinery on event words.
 
 A rewrite is one word edit, one segment map from the input word to the
-output and one rebuild, which traces only those two words.  A splice
-replaces windows of the word by templates that keep the strand slots
-entering and leaving each window, so component attributes ride along the
-segments outside the windows without global renumbering.
+output and one rebuild, which traces only those two words.  A segment map
+is a list of runs ``(gap, new_gap, slots)``, one per input gap it maps:
+``slots`` is None where every strand keeps its slot, else a tuple of
+(slot, new slot) pairs.  A splice replaces windows of the word by
+templates that keep the strand slots entering and leaving each window, so
+component attributes ride along the segments outside the windows without
+global renumbering.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ class MoveResult:
     fresh: list = field(default_factory=list)
 
 
-def _rebuild(d, events, seg_map, error, merge=None):
+def _rebuild(d, events, runs, error, merge=None):
     """The rewrite of ``d`` to ``events`` on the same walls, with attributes
-    carried along ``seg_map``; an invalid word is a :class:`MoveError` that
-    starts with ``error``."""
+    carried along the segment map ``runs``; an invalid word is a
+    :class:`MoveError` that starts with ``error``."""
     # d is traced before the output, so a caller that has just traced d
     # finds it in the memo
     tr = trace_components(d)
@@ -67,7 +70,7 @@ def _rebuild(d, events, seg_map, error, merge=None):
         new_trace = trace_components(out)
     except DiagramError as exc:
         raise MoveError(f"{error}: {exc}") from exc
-    attrs, old_to_new, fresh = _attrs_from_map(d, tr, new_trace, seg_map, merge=merge)
+    attrs, old_to_new, fresh = _attrs_from_map(d, tr, new_trace, runs, merge=merge)
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
 
@@ -114,12 +117,8 @@ def splice(d, windows, merge=None):
             or new_counts[right] != old_counts[i1]
         ):
             raise MoveError("rewrite does not preserve the window boundary")
-    seg_map = {
-        (g, s): (ng, s)
-        for g, ng in gap_map.items()
-        for s in range(1, old_counts[g] + 1)
-    }
-    return _rebuild(d, events, seg_map, error, merge=merge)
+    runs = [(g, ng, None) for g, ng in gap_map.items()]
+    return _rebuild(d, events, runs, error, merge=merge)
 
 
 def erase_components(d, cids):
@@ -130,19 +129,29 @@ def erase_components(d, cids):
     not be interleaved with the rest.
     """
     tr = trace_components(d)
+    rows = tr.rows
     dead = set(cids)
-    for gap in (0, len(d.events)):  # the left wall, then the right wall
-        for s in range(1, tr.counts[gap] + 1):
-            c = tr.seg_comp[(gap, s)]
-            if c in dead:
+    gone = [c in dead for c in tr.code_comp]  # per code
+    for row in (rows[0], rows[-1]):  # the left wall, then the right wall
+        for code in row:
+            if gone[code]:
+                c = tr.code_comp[code]
                 raise MoveError(f"component {c} is open; only closed components erase")
     for i, ev in enumerate(d.events):
-        if ev.kind == "X" and (tr.seg_comp[(i, ev.pos)] in dead) != (
-            tr.seg_comp[(i, ev.pos + 1)] in dead
-        ):
+        if ev.kind == "X" and gone[rows[i][ev.pos - 1]] != gone[rows[i][ev.pos]]:
             raise MoveError("erased component crosses a kept component (interleaved)")
-    segs = {seg for seg, c in tr.seg_comp.items() if c in dead}
-    return erase_segments(d, segs)
+    return erase_segments(d, _segments(tr, dead))
+
+
+def _segments(tr, cids):
+    """The (gap, slot) of every segment of the components ``cids``."""
+    comp = tr.code_comp
+    return {
+        (g, s)
+        for g, row in enumerate(tr.rows)
+        for s, code in enumerate(row, 1)
+        if comp[code] in cids
+    }
 
 
 def erase_segments(d, segs):
@@ -157,11 +166,15 @@ def erase_segments(d, segs):
     for (g, s) in segs:
         dead_by_gap.setdefault(g, set()).add(s)
 
+    def run(gap):
+        dead = dead_by_gap.get(gap)
+        if not dead:
+            return gap, len(new_events), None
+        live = [s for s in range(1, counts[gap] + 1) if s not in dead]
+        return gap, len(new_events), tuple(zip(live, range(1, len(live) + 1)))
+
     new_events = []
-    seg_map = {}
-    live0 = sorted(set(range(1, counts[0] + 1)) - dead_by_gap.get(0, set()))
-    for new_s, old_s in enumerate(live0, start=1):
-        seg_map[(0, old_s)] = (0, new_s)
+    runs = [run(0)]
 
     for i, ev in enumerate(d.events):
         gap = i + 1
@@ -178,11 +191,9 @@ def erase_segments(d, segs):
         if keep:
             below = sum(1 for s in before_dead if s < ev.pos)
             new_events.append(Event(ev.kind, ev.pos - below))
-        live = sorted(set(range(1, counts[gap] + 1)) - after_dead)
-        for new_s, old_s in enumerate(live, start=1):
-            seg_map[(gap, old_s)] = (len(new_events), new_s)
+        runs.append(run(gap))
 
-    rw = _rebuild(d, new_events, seg_map, "circuit erasure left an invalid word")
+    rw = _rebuild(d, new_events, runs, "circuit erasure left an invalid word")
     if rw.fresh:
         raise MoveError("circuit erasure created components out of nothing")
     return rw
@@ -200,8 +211,8 @@ def double_component(d, cid, side):
     Returns (MoveResult, companion_cid, gap_map) where gap_map sends old gap
     indices to new ones.
     """
-    new_events, seg_map, gap_map = _push_off(d, cid, side)
-    rw = _rebuild(d, new_events, seg_map, "push-off produced an invalid word")
+    new_events, runs, gap_map = _push_off(d, cid, side)
+    rw = _rebuild(d, new_events, runs, "push-off produced an invalid word")
     if len(rw.fresh) != 1:
         raise MoveError("push-off did not create exactly one companion")
     return rw, rw.fresh[0], gap_map
@@ -209,50 +220,50 @@ def double_component(d, cid, side):
 
 def _push_off(d, cid, side):
     """The word of ``d`` with component ``cid`` doubled, the segment map
-    and the gap map, without tracing the word.  The word is the same for
-    either ``side``; only which copy keeps the old segments differs."""
+    (one run per gap, in gap order) and the gap map, without tracing the
+    word.  The word is the same for either ``side``; only which copy keeps
+    the old segments differs."""
     if side not in ("below", "above"):
         raise MoveError(f"bad push-off side {side!r}")
     tr = trace_components(d)
-    seg_comp = tr.seg_comp
     if not tr.components[cid - 1].closed:
         raise MoveError("only closed components admit a push-off")
     # with the companion below, an old strand of the component runs above it
     lift = 1 if side == "below" else 0
+    mine = [c == cid for c in tr.code_comp]  # per code
 
     def under(gap):
         """under[s]: the component's strands below slot s at ``gap``, for
-        s = 1 .. count + 1; each slot and event at s moves up by that."""
+        s = 1 .. count + 1; each slot and event at s moves up by that.  The
+        run of ``gap`` goes to ``runs``."""
         out = [0, 0]
-        for s in range(1, tr.counts[gap] + 1):
-            out.append(out[-1] + (seg_comp[(gap, s)] == cid))
+        slots = []
+        for s, code in enumerate(tr.rows[gap], 1):
+            slots.append((s, s + out[-1] + (lift if mine[code] else 0)))
+            out.append(out[-1] + mine[code])
+        runs.append((gap, len(new_events), tuple(slots)))
         return out
-
-    def map_gap(gap, below):
-        for s in range(1, tr.counts[gap] + 1):
-            up = s + below[s] + (lift if seg_comp[(gap, s)] == cid else 0)
-            seg_map[(gap, s)] = (gap_map[gap], up)
 
     new_events = []
     gap_map = {0: 0}
-    seg_map = {}
+    runs = []
     below = under(0)
-    map_gap(0, below)
     for i, ev in enumerate(d.events):
         p = ev.pos
         q = p + below[p]
+        row = tr.rows[i]
         if ev.kind == "L":
-            if seg_comp[(i + 1, p)] == cid:
+            if mine[tr.rows[i + 1][p - 1]]:
                 new_events += [Event("L", q), Event("L", q), Event("X", q + 1)]
             else:
                 new_events.append(Event("L", q))
         elif ev.kind == "R":
-            if seg_comp[(i, p)] == cid:
+            if mine[row[p - 1]]:
                 new_events += [Event("X", q + 1), Event("R", q), Event("R", q)]
             else:
                 new_events.append(Event("R", q))
         else:
-            lo_c, hi_c = seg_comp[(i, p)] == cid, seg_comp[(i, p + 1)] == cid
+            lo_c, hi_c = mine[row[p - 1]], mine[row[p]]
             if lo_c and hi_c:
                 new_events += [
                     Event("X", q + 1),
@@ -268,8 +279,7 @@ def _push_off(d, cid, side):
                 new_events.append(Event("X", q))
         gap_map[i + 1] = len(new_events)
         below = under(i + 1)
-        map_gap(i + 1, below)
-    return new_events, seg_map, gap_map
+    return new_events, runs, gap_map
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +357,11 @@ def exchange_canonical(d):
     # Left-wall segments stay put, and the lower strand born at new event j
     # is the one born at old event perm[j]: every component has one or the
     # other.
-    seg_map = {(0, s): (0, s) for s in range(1, d.left_count + 1)}
+    runs = [(0, 0, None)]
     for j, ev in enumerate(events):
         if ev.kind == "L":
-            seg_map[(perm[j] + 1, d.events[perm[j]].pos)] = (j + 1, ev.pos)
-    rw = _rebuild(d, events, seg_map, "exchange produced an invalid word")
+            runs.append((perm[j] + 1, j + 1, ((d.events[perm[j]].pos, ev.pos),)))
+    rw = _rebuild(d, events, runs, "exchange produced an invalid word")
     if rw.fresh:
         raise MoveError("exchange canonicalization lost a component")
     return rw.diagram

@@ -64,3 +64,29 @@ def strand_sites(d):
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+def segment_maps(tr):
+    """A trace's segments as two dicts, (gap, slot) -> component id and
+    (gap, slot) -> direction, read through its accessors."""
+    segs = [(g, s) for g, n in enumerate(tr.counts) for s in range(1, n + 1)]
+    return {seg: tr.comp(*seg) for seg in segs}, {seg: tr.dir(*seg) for seg in segs}
+
+
+def segment_map(runs, counts):
+    """A segment map given as runs ``(gap, new_gap, slots)`` as one dict
+    (gap, slot) -> (new gap, new slot); ``counts`` are the strand counts
+    of the word it maps from, and ``slots`` None keeps every slot."""
+    out = {}
+    for g, ng, slots in runs:
+        if slots is None:
+            slots = [(s, s) for s in range(1, counts[g] + 1)]
+        for s, t in slots:
+            out[(g, s)] = (ng, t)
+    return out
+
+
+def segment_runs(seg_map):
+    """A dict (gap, slot) -> (new gap, new slot) as runs, one per segment,
+    in the dict's order."""
+    return [(g, ng, ((s, t),)) for (g, s), (ng, t) in seg_map.items()]

@@ -172,7 +172,7 @@ def _inverse_pair_case(rng):
         if site is None:
             return None
         g, s = site
-        cid = trace_components(d).seg_comp[(g, s)]
+        cid = trace_components(d).comp(g, s)
         c = stabilize(d, cid, site_at(g, s), "stabilize").diagram
         back = stabilize(c, cid, site_at(g, s), "destabilize").diagram
     elif kind == "birth":
@@ -243,7 +243,7 @@ def test_criterion_5_move_property_suite():
                 if site is None:
                     continue
                 g, s = site
-                cid = trace_components(d).seg_comp[(g, s)]
+                cid = trace_components(d).comp(g, s)
                 out = stabilize(d, cid, site_at(g, s), "stabilize").diagram
             elif kind == "r1":
                 site = _random_strand_site(rng, d)
@@ -280,7 +280,7 @@ def test_criterion_5_move_property_suite():
                     continue
                 g, s = site
                 tr = trace_components(d)
-                cid = tr.seg_comp[(g, s)]
+                cid = tr.comp(g, s)
                 if not tr.components[cid - 1].closed:
                     continue
                 before = classical_invariants(d, cid)
@@ -294,8 +294,8 @@ def test_criterion_5_move_property_suite():
                     continue
                 g, s = site
                 tr = trace_components(d)
-                a = tr.seg_comp[(g, s)]
-                b = tr.seg_comp[(g, s + 1)]
+                a = tr.comp(g, s)
+                b = tr.comp(g, s + 1)
                 out = clasp(d, site_at(g, s), "clasp").diagram
 
                 def signed(dd, pair):

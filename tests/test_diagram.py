@@ -109,7 +109,7 @@ def test_trace_deterministic():
         d = random_diagram(rng)
         a = trace_components(d)
         b = trace_components(d)
-        assert a.seg_comp == b.seg_comp
+        assert (a.rows, a.code_comp, a.code_dir) == (b.rows, b.code_comp, b.code_dir)
         assert [component_path(d, c.cid) for c in a.components] == [
             component_path(d, c.cid) for c in b.components
         ]
@@ -179,5 +179,5 @@ def test_clasped_chart_crossings_join_both_components():
     tr = trace_components(d)
     assert len(tr.components) == 2
     for i, ev in enumerate(d.events):
-        pair = {tr.seg_comp[(i, ev.pos)], tr.seg_comp[(i, ev.pos + 1)]}
+        pair = {tr.comp(i, ev.pos), tr.comp(i, ev.pos + 1)}
         assert pair == {1, 2}

@@ -71,17 +71,17 @@ def test_randomized_move_contracts():
                 if not sites:
                     continue
                 g, s = rng.choice(sites)
-                cid = tr.seg_comp[(g, s)]
+                cid = tr.comp(g, s)
                 out = stabilize(d, cid, site_at(g, s), "stabilize")
                 if spin == 0:
                     back = stabilize(out.diagram, cid, site_at(g, s), "destabilize")
                     assert back.diagram.events == d.events
             elif kind == "uplus":
                 cands = [
-                    (g, s, tr.seg_comp[(g, s)], tr.seg_comp[(g, s + 1)])
+                    (g, s, tr.comp(g, s), tr.comp(g, s + 1))
                     for g in range(len(d.events) + 1)
                     for s in range(1, tr.counts[g])
-                    if tr.seg_comp[(g, s)] != tr.seg_comp[(g, s + 1)]
+                    if tr.comp(g, s) != tr.comp(g, s + 1)
                 ]
                 if not cands:
                     continue
@@ -103,12 +103,12 @@ def test_randomized_move_contracts():
                 # moving strand runs below `over` for an up slide
                 dm, do = (0, 1) if direction == "up" else (1, 0)
                 cands = [
-                    (g, s, tr.seg_comp[(g, s + dm)], tr.seg_comp[(g, s + do)])
+                    (g, s, tr.comp(g, s + dm), tr.comp(g, s + do))
                     for g in range(len(d.events) + 1)
                     for s in range(1, tr.counts[g])
-                    if tr.seg_comp[(g, s)] != tr.seg_comp[(g, s + 1)]
-                    and d.attrs[tr.seg_comp[(g, s + do)] - 1].coefficient == coeff
-                    and tr.components[tr.seg_comp[(g, s + do)] - 1].closed
+                    if tr.comp(g, s) != tr.comp(g, s + 1)
+                    and d.attrs[tr.comp(g, s + do) - 1].coefficient == coeff
+                    and tr.components[tr.comp(g, s + do) - 1].closed
                 ]
                 if not cands:
                     continue

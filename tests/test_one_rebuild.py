@@ -49,7 +49,7 @@ from kirbyfront.moves import (
 )
 from kirbyfront.wordops import MoveResult, _rebuild, double_component, mirror_events
 
-from conftest import random_diagram
+from conftest import random_diagram, segment_maps, segment_runs
 from test_tally import DIAGRAMS, _births, _decorate
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def _oracle_splice(d, i0, i1, new_events, merge=None):
     for g in range(i1, len(d.events) + 1):
         for s in range(1, old_counts[g] + 1):
             seg_map[(g, s)] = (g + shift, s)
-    return _rebuild(d, events, seg_map, error, merge=merge)
+    return _rebuild(d, events, segment_runs(seg_map), error, merge=merge)
 
 
 def _oracle_spin_windows(d, i0, i1, new_events):
@@ -163,11 +163,12 @@ def _oracle_handleslide(d, moving, over, variant, site):
     gap = gap_map[site.e0]
     # locate the junction slot: the moving strand right next to the companion
     lower, upper = (moving2, companion) if side == "up" else (companion, moving2)
+    seg_comp = segment_maps(tr2)[0]
     candidates = [
         slot
         for slot in range(1, tr2.counts[gap] + 1)
-        if tr2.seg_comp.get((gap, slot)) == lower
-        and tr2.seg_comp.get((gap, slot + 1)) == upper
+        if seg_comp.get((gap, slot)) == lower
+        and seg_comp.get((gap, slot + 1)) == upper
     ]
     _require(candidates, "push-off did not land next to the moving strand")
     q = min(candidates, key=lambda slot: abs(slot - s))
@@ -210,6 +211,7 @@ def _refusal(got):
 
 
 _INVALID = "rewrite produces an invalid word: "
+_NOT_OWN_MIRROR = "component # is not its own mirror image (spin symmetry)"
 
 
 def _spun_calls(d):
@@ -232,13 +234,13 @@ def _spun_calls(d):
                     calls.append((reidemeister, d, move, site, variant, direction))
             if s > count:
                 continue
-            cid = tr.seg_comp[(g, s)]
+            cid = tr.comp(g, s)
             calls += [
                 (stabilize, d, cid, site, "stabilize"),
                 (stabilize, d, cid, site, "destabilize"),
             ]
             if s < count:
-                up = tr.seg_comp[(g, s + 1)]
+                up = tr.comp(g, s + 1)
                 calls += [(uplus, d, cid, up, site), (uplus, free, cid, up, site)]
     return calls
 
@@ -287,9 +289,9 @@ def _pushed_gap(d, tr, over, e0):
 
     def width(i, ev):
         if ev.kind != "X":
-            return 3 if tr.seg_comp[(i + (ev.kind == "L"), ev.pos)] == over else 1
-        lo = tr.seg_comp[(i, ev.pos)] == over
-        hi = tr.seg_comp[(i, ev.pos + 1)] == over
+            return 3 if tr.comp(i + (ev.kind == "L"), ev.pos) == over else 1
+        lo = tr.comp(i, ev.pos) == over
+        hi = tr.comp(i, ev.pos + 1) == over
         return 1 + lo + hi + (lo and hi)
 
     widths = [width(i, ev) for i, ev in enumerate(d.events)]
@@ -305,12 +307,12 @@ def _slide_cases(d):
         for s in range(1, count):
             for variant, (coeff, side) in _SLIDE_VARIANTS.items():
                 dm = side == "down"
-                moving, over = tr.seg_comp[(g, s + dm)], tr.seg_comp[(g, s + 1 - dm)]
+                moving, over = tr.comp(g, s + dm), tr.comp(g, s + 1 - dm)
                 if moving == over or d.attrs[over - 1].coefficient != coeff:
                     continue
                 gap, n = _pushed_gap(d, tr, over, g)
                 # the moving strand moves up by the strands of `over` below it
-                q = s + sum(tr.seg_comp[(g, t)] == over for t in range(1, s + dm))
+                q = s + sum(tr.comp(g, t) == over for t in range(1, s + dm))
                 block = _axis_neck(q) if d.spin and 2 * gap == n else _junction(q)
                 # right of the axis, the mirrored junction comes first
                 j = gap + len(block) if d.spin and 2 * gap > n else gap
@@ -341,10 +343,50 @@ def test_forward_slides_put_the_junction_at_the_site_strand():
                     hits[d.spin, "junction moved"] += 1
             elif _refusal(got) == _refusal(want):
                 hits[d.spin, "refused alike"] += 1
+            elif _refusal(got) == _NOT_OWN_MIRROR:
+                assert d.spin and _refusal(want) is not None, (got, want)
+                hits[d.spin, "over is not its own mirror"] += 1
             else:
                 assert d.spin and _refusal(got) is not None, (got, want)
                 hits[d.spin, "refused first by another check"] += 1
     assert hits[0, "junction moved"] > 0, hits
     assert hits[0, "equal"] > 1000, hits
     assert hits[1, "equal"] > 0 and hits[2, "equal"] > 0, hits
-    assert hits[1, "refused alike"] > 100 and hits[2, "refused alike"] > 100, hits
+    assert hits[1, "refused alike"] > 10 and hits[2, "refused alike"] > 100, hits
+    assert hits[1, "over is not its own mirror"] > 1000, hits
+    assert hits[2, "over is not its own mirror"] > 100, hits
+
+
+def _own_mirror(d, cid):
+    """Whether every segment (g, s) of component ``cid`` has its mirror
+    segment (len(events) - g, s) in ``cid`` too."""
+    seg_comp = segment_maps(trace_components(d))[0]
+    nev = len(d.events)
+    return all(
+        seg_comp[(nev - g, s)] == cid for (g, s), c in seg_comp.items() if c == cid
+    )
+
+
+def test_a_spun_slide_over_a_component_not_its_own_mirror_is_refused_first():
+    """On a spun diagram, a forward slide over a component whose mirror
+    image is another component is refused before the push-off, naming the
+    spin symmetry; the forward slide it replaced refused each of these
+    too, after building the pushed word.  A slide over a component that is
+    its own mirror image never gets that refusal."""
+    pair = trivial_bypass_pair(spin=2)[0]
+    spun = [d for d in DIAGRAMS if d.spin] + [pair] + _births(random.Random(2627), pair, 4)
+    hits = Counter()
+    for d in spun:
+        own = {c.cid: _own_mirror(d, c.cid) for c in trace_components(d).components}
+        for moving, over, variant, site, _block, _j in _slide_cases(d):
+            got = _refusal(_outcome(handleslide, d, moving, over, variant, site))
+            if own[over]:
+                assert got != _NOT_OWN_MIRROR, (d, moving, over, variant, site)
+                hits[d.spin, "own mirror"] += 1
+                continue
+            assert got == _NOT_OWN_MIRROR, (d, moving, over, variant, site, got)
+            want = _outcome(_oracle_handleslide, d, moving, over, variant, site)
+            assert _refusal(want) is not None, (d, moving, over, variant, site)
+            hits[d.spin, "refused first"] += 1
+    assert hits[1, "refused first"] > 5000 and hits[2, "refused first"] > 100, hits
+    assert hits[1, "own mirror"] > 100 and hits[2, "own mirror"] > 100, hits

@@ -59,7 +59,7 @@ from kirbyfront.wordops import (
     erase_segments,
 )
 
-from conftest import random_diagram
+from conftest import random_diagram, segment_maps
 
 # ---------------------------------------------------------------------------
 # The scans as they were, kept as oracles
@@ -81,15 +81,15 @@ def _cusp_direction(d, tr, i):
     else:
         lower = (i, ev.pos)
         upper = (i, ev.pos + 1)
-    cid = tr.seg_comp[lower]
+    cid = tr.comp(*lower)
     orient = _orient(d, cid)
     # Leaving a left cusp rightward along the lower strand means the
     # traversal came down through the cusp; at a right cusp arriving
     # rightward along the lower strand means it goes up.
     if ev.kind == "L":
-        up = tr.seg_dir[upper] * orient > 0
+        up = tr.dir(*upper) * orient > 0
     else:
-        up = tr.seg_dir[lower] * orient > 0
+        up = tr.dir(*lower) * orient > 0
     return 1 if up else -1
 
 
@@ -108,7 +108,7 @@ def _oracle_classical_invariants(d, cid):
         if ev.kind == "X":
             continue
         gap = i + 1 if ev.kind == "L" else i
-        if tr.seg_comp[(gap, ev.pos)] != cid:
+        if tr.comp(gap, ev.pos) != cid:
             continue
         if ev.kind == "L":
             left += 1
@@ -240,7 +240,7 @@ def _component_cusp_counts(d, tr, cid):
         if ev.kind == "X":
             continue
         gap = i + 1 if ev.kind == "L" else i
-        if tr.seg_comp[(gap, ev.pos)] == cid:
+        if tr.comp(gap, ev.pos) == cid:
             if ev.kind == "L":
                 left += 1
             else:
@@ -254,8 +254,8 @@ def _pair_crossings(d, tr, a, b):
     for i, ev in enumerate(d.events):
         if ev.kind != "X":
             continue
-        ca = tr.seg_comp[(i, ev.pos)]
-        cb = tr.seg_comp[(i, ev.pos + 1)]
+        ca = tr.comp(i, ev.pos)
+        cb = tr.comp(i, ev.pos + 1)
         if {ca, cb} == {a, b} and ca != cb:
             mutual.append(i)
         elif ca == cb and ca in (a, b):
@@ -385,8 +385,8 @@ def _oracle_slide_back(d, moving, over, site):
         for k, ev in enumerate(d2.events):
             if ev.kind != "X":
                 continue
-            ca = tr2.seg_comp[(k, ev.pos)]
-            cb = tr2.seg_comp[(k, ev.pos + 1)]
+            ca = tr2.comp(k, ev.pos)
+            cb = tr2.comp(k, ev.pos + 1)
             if ca == cb == cid:
                 selfx += 1
             elif {ca, cb} == {cid, over2}:
@@ -406,7 +406,8 @@ def _oracle_slide_back(d, moving, over, site):
         if profile(circuit) != want:
             continue
         try:
-            rw = erase_segments(d2, {seg for seg, c in tr2.seg_comp.items() if c == circuit})
+            segs = {seg for seg, c in segment_maps(tr2)[0].items() if c == circuit}
+            rw = erase_segments(d2, segs)
         except MoveError:
             continue
         if handle_census(rw.diagram).euler != before:
@@ -493,8 +494,8 @@ def _slides(d):
     for g, count in enumerate(tr.counts):
         for s in range(1, count):
             for variant, (coeff, dm, do) in _VARIANTS.items():
-                moving = tr.seg_comp[(g, s + dm)]
-                over = tr.seg_comp[(g, s + do)]
+                moving = tr.comp(g, s + dm)
+                over = tr.comp(g, s + do)
                 if moving == over or d.attrs[over - 1].coefficient != coeff:
                     continue
                 got = _outcome(handleslide, d, moving, over, variant, site_at(g, s))

@@ -16,7 +16,6 @@ from kirbyfront.diagram import (
     COEFF_MINUS,
     Event,
     FrontDiagram,
-    Trace,
     ValidationError,
     component_path,
     default_attrs,
@@ -30,6 +29,9 @@ from kirbyfront.invariants import (
     linking_matrix,
 )
 from kirbyfront.moves import (
+    MoveError,
+    _strand_comp,
+    _strands_have_nodes,
     birth_cancel_pair,
     clasp,
     crossing_change,
@@ -41,7 +43,7 @@ from kirbyfront.moves import (
 )
 from kirbyfront.wordops import exchange_canonical
 
-from conftest import random_diagram
+from conftest import random_diagram, segment_maps
 from test_templates import _kinked
 from test_wordops import _corpus
 
@@ -61,6 +63,16 @@ class TracedComponent:
     # canonical traversal crosses this segment rightward.
     path: list = field(default_factory=list)
     segments: set = field(default_factory=set)
+
+
+@dataclass
+class _OracleTrace:
+    """What the previous trace returned: each segment as a dict key."""
+
+    seg_comp: dict  # (gap, slot) -> cid
+    seg_dir: dict  # (gap, slot) -> +1 / -1; +1 means traversed rightward
+    components: list  # TracedComponent, index cid-1
+    counts: list  # strand count per gap
 
 
 def _slot_maps(events, counts):
@@ -173,7 +185,9 @@ def _oracle_trace_components(d):
             g, s, dr = bg, bs, -bdr
         walk(g, s, dr, comp)
 
-    trace = Trace(seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts)
+    trace = _OracleTrace(
+        seg_comp=seg_comp, seg_dir=seg_dir, components=components, counts=counts
+    )
     return trace
 
 
@@ -183,33 +197,31 @@ def _oracle_trace_components(d):
 
 
 def _outcome(trace, d):
-    """Every field of ``trace(d)``, dict insertion order included, with each
-    component's traversal, segment set and first (gap, slot), or the error
-    type and message.  The oracle keeps the traversal and the segments; a
-    trace has them from ``component_path`` and ``seg_comp``."""
+    """Every field of ``trace(d)`` as the oracle has it: each segment's
+    component and direction, as dicts, and each component's traversal,
+    segment set and first (gap, slot), or the error type and message.  The
+    oracle keeps the traversal and the segments; a trace has them from
+    ``component_path`` and its accessors."""
     try:
         tr = trace(d)
     except ValidationError as exc:
         return type(exc).__name__, str(exc)
     if trace is _oracle_trace_components:
+        seg_comp, seg_dir = tr.seg_comp, tr.seg_dir
         comps = [
             (c.cid, c.closed, c.path, c.segments, min(c.segments))
             for c in tr.components
         ]
     else:
+        seg_comp, seg_dir = segment_maps(tr)
         segments = {c.cid: set() for c in tr.components}
-        for seg, cid in tr.seg_comp.items():
+        for seg, cid in seg_comp.items():
             segments[cid].add(seg)
         comps = [
             (c.cid, c.closed, component_path(d, c.cid), segments[c.cid], c.start)
             for c in tr.components
         ]
-    return (
-        list(tr.seg_comp.items()),
-        list(tr.seg_dir.items()),
-        comps,
-        list(tr.counts),
-    )
+    return seg_comp, seg_dir, comps, list(tr.counts)
 
 
 def _random_word(rng, n, top):
@@ -248,20 +260,51 @@ def test_trace_matches_previous_walk():
 
 
 def test_trace_keeps_each_segment_once():
-    """The kept trace of W^1_160's tall canonical form stays under 190 bytes
-    per strand segment (tracemalloc): it reads about 149, about 202 with a
-    set of segments per component re-added, about 219 with a traversal list
-    re-added, and 273 with both."""
+    """The trace of W^1_160's tall canonical form keeps, and peaks at, no
+    more than 32 bytes per strand segment (tracemalloc): its rows hold one
+    reference per segment.  A trace that kept each segment as a dict key
+    kept about 149 and peaked near 310."""
     d = exchange_canonical(cieliebak_diagram(1, 160))
     tracemalloc.start()
     try:
         tr = diagram._trace(d)
-        kept, _peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     segments = sum(tr.counts)
     assert segments > 150_000
-    assert kept / segments <= 190, kept / segments
+    assert kept / segments <= 32, kept / segments
+    assert peak / segments <= 32, peak / segments
+
+
+def test_accessors_refuse_a_segment_the_word_lacks():
+    """``comp`` and ``dir`` raise KeyError at slot 0, at a negative slot
+    (never wrapping to the top of a row), at slot count + 1 and at a gap
+    outside the word; each move reads a site through ``_strand_comp``,
+    which names the segment, and the R3 node check reads a missing strand
+    as no strand."""
+    d = _two_unknots(0)  # L1 L3 R3 R1
+    tr = trace_components(d)
+    for g, count in enumerate(tr.counts):
+        for s in range(1, count + 1):
+            assert tr.comp(g, s) in (1, 2) and tr.dir(g, s) in (1, -1)
+        for s in (0, -1, count + 1):
+            for read in (tr.comp, tr.dir):
+                with pytest.raises(KeyError):
+                    read(g, s)
+    for g in (-1, len(d.events) + 1):
+        for read in (tr.comp, tr.dir):
+            with pytest.raises(KeyError):
+                read(g, 1)
+    with pytest.raises(MoveError, match="^no strand at gap 1, slot 3$"):
+        _strand_comp(tr, 1, 3)
+    with pytest.raises(MoveError, match="no strand at gap 1, slot 3"):
+        stabilize(d, 1, site_at(1, 3))
+    # gap 2 has 4 strands: component 1 on slots 1 and 2, 2 on slots 3 and 4
+    noded = replace(d, attrs=(d.attrs[0], replace(d.attrs[1], node_plus=True)))
+    assert _strands_have_nodes(noded, tr, 2, range(4, 7))
+    assert not _strands_have_nodes(noded, tr, 2, range(5, 8))
+    assert not _strands_have_nodes(noded, tr, 2, range(0, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from kirbyfront.wordops import (
     splice,
 )
 
-from conftest import random_closed_word, random_diagram
+from conftest import random_closed_word, random_diagram, segment_map, segment_maps
 from test_templates import _kinked
 
 
@@ -261,8 +261,8 @@ def _oracle_attrs_from_map(d, new_trace, seg_map, merge=None, fresh_attr=None):
     ncomp = len(new_trace.components)
     sources = [set() for _ in range(ncomp)]
     for old_seg, new_seg in seg_map.items():
-        oc = old_trace.seg_comp[old_seg]
-        nc = new_trace.seg_comp[new_seg]
+        oc = old_trace.comp(*old_seg)
+        nc = new_trace.comp(*new_seg)
         sources[nc - 1].add(oc)
 
     old_to_new = {}
@@ -342,7 +342,7 @@ def _expected_erase_components(d, cids):
     dead = set(cids)
     for gap in (0, len(d.events)):
         for s in range(1, tr.counts[gap] + 1):
-            c = tr.seg_comp[(gap, s)]
+            c = tr.comp(gap, s)
             if c in dead:
                 raise MoveError(f"component {c} is open; only closed components erase")
     return _oracle_erase_components(d, cids)
@@ -351,7 +351,7 @@ def _expected_erase_components(d, cids):
 def _oracle_erase_components(d, cids, name=None):
     tr = trace_components(d)
     dead = set(cids)
-    for (g, s), c in tr.seg_comp.items():
+    for (g, s), c in segment_maps(tr)[0].items():
         if g == 0 and c in dead:
             raise MoveError(f"component {c} is open; only closed components erase")
 
@@ -365,7 +365,7 @@ def _oracle_erase_components(d, cids, name=None):
     for i, ev in enumerate(d.events):
         gap = i + 1
         if ev.kind == "L":
-            keep = tr.seg_comp[(gap, ev.pos)] not in dead
+            keep = tr.comp(gap, ev.pos) not in dead
         elif ev.kind == "R":
             lower_dead = ev.pos in erased
             upper_dead = (ev.pos + 1) in erased
@@ -409,7 +409,7 @@ def _oracle_erase_components(d, cids, name=None):
     )
     new_trace = trace_components(out)
     seg_map = {
-        old: new for old, new in seg_map.items() if tr.seg_comp[old] not in dead
+        old: new for old, new in seg_map.items() if tr.comp(*old) not in dead
     }
     attrs, old_to_new, fresh = _oracle_attrs_from_map(d, new_trace, seg_map)
     if fresh:
@@ -481,7 +481,7 @@ def _oracle_double_component(d, cid, side, name=None):
         raise MoveError("only closed components admit a push-off")
 
     def c_slots(gap):
-        return [s for s in range(1, counts[gap] + 1) if tr.seg_comp.get((gap, s)) == cid]
+        return [s for s in range(1, counts[gap] + 1) if tr.comp(gap, s) == cid]
 
     def slot_map(gap):
         slots = set(c_slots(gap))
@@ -506,7 +506,7 @@ def _oracle_double_component(d, cid, side, name=None):
         p = ev.pos
         below_p = sum(1 for t in slots_i if t < p)
         if ev.kind == "L":
-            if tr.seg_comp[(gap, p)] == cid:
+            if tr.comp(gap, p) == cid:
                 q = p + below_p
                 new_events += [Event("L", q), Event("L", q), Event("X", q + 1)]
             else:
@@ -647,7 +647,7 @@ def _oracle_exchange_canonical(d):
         oc = None
         for (g, s, _dir) in component_path(out, nc.cid):
             if g == 0:
-                oc = old_tr.seg_comp[(0, s)]
+                oc = old_tr.comp(0, s)
                 break
         if oc is None:
             # locate via a cusp event: the born pair of new event j corresponds
@@ -655,10 +655,10 @@ def _oracle_exchange_canonical(d):
             for j, ev in enumerate(events):
                 if ev.kind != "L":
                     continue
-                if new_tr.seg_comp[(j + 1, ev.pos)] != nc.cid:
+                if new_tr.comp(j + 1, ev.pos) != nc.cid:
                     continue
                 orig = d.events[perm[j]]
-                oc = old_tr.seg_comp[(perm[j] + 1, orig.pos)]
+                oc = old_tr.comp(perm[j] + 1, orig.pos)
                 break
         if oc is None:
             raise MoveError("exchange canonicalization lost a component")
@@ -688,12 +688,13 @@ def _oracle_mirror(d):
     old = trace_components(d)
     new = trace_components(mirrored)
     attrs = [None] * len(new.components)
-    for (g, s), cid in old.seg_comp.items():
-        ncid = new.seg_comp[(nev - g, s)]
+    old_comp = segment_maps(old)[0]
+    for (g, s), cid in old_comp.items():
+        ncid = new.comp(nev - g, s)
         attrs[ncid - 1] = d.attrs[cid - 1]
     remap = {}
-    for (g, s), cid in old.seg_comp.items():
-        remap[cid] = new.seg_comp[(nev - g, s)]
+    for (g, s), cid in old_comp.items():
+        remap[cid] = new.comp(nev - g, s)
     fixed = tuple(
         replace(a, dashed_links=tuple(remap[t] for t in a.dashed_links))
         for a in attrs
@@ -808,7 +809,7 @@ def _assert_orientation_transported(d, transport, out, sign):
     old, new, seg_map = transport
     first = {}
     for o, n in seg_map.items():
-        first.setdefault((old.seg_comp[o], new.seg_comp[n]), (o, n))
+        first.setdefault((old.comp(*o), new.comp(*n)), (o, n))
     sources = {}
     for oc, nc in first:
         sources.setdefault(nc, []).append(oc)
@@ -817,8 +818,8 @@ def _assert_orientation_transported(d, transport, out, sign):
             continue
         o, n = first[(ocs[0], nc)]
         was = d.attrs[ocs[0] - 1].orientation if d.attrs else 1
-        travel = out.attrs[nc - 1].orientation * new.seg_dir[n]
-        assert travel == sign * was * old.seg_dir[o]
+        travel = out.attrs[nc - 1].orientation * new.dir(*n)
+        assert travel == sign * was * old.dir(*o)
 
 
 def _bare(result):
@@ -836,9 +837,10 @@ def test_rewrites_match_parent_oracles(monkeypatch):
     which loses its orientation, so those results are compared bare."""
     transports = []
 
-    def recording(d, old_trace, new_trace, seg_map, *args, **kwargs):
+    def recording(d, old_trace, new_trace, runs, *args, **kwargs):
+        seg_map = segment_map(runs, old_trace.counts)
         transports.append((old_trace, new_trace, seg_map))
-        return _attrs_from_map(d, old_trace, new_trace, seg_map, *args, **kwargs)
+        return _attrs_from_map(d, old_trace, new_trace, runs, *args, **kwargs)
 
     monkeypatch.setattr(wordops, "_attrs_from_map", recording)
     monkeypatch.setattr(diagram, "_attrs_from_map", recording)
@@ -857,7 +859,7 @@ def test_rewrites_match_parent_oracles(monkeypatch):
                 pairs.append((erase_components, _expected_erase_components, (d, sub)))
         pairs.append((erase_components, _expected_erase_components, (d, [0])))
         for comp in tr.components:
-            segs = {seg for seg, c in tr.seg_comp.items() if c == comp.cid}
+            segs = {seg for seg, c in segment_maps(tr)[0].items() if c == comp.cid}
             pairs.append((erase_segments, _oracle_erase_segments, (d, segs)))
             for side in ("below", "above"):
                 pairs.append(
@@ -900,9 +902,10 @@ def test_exchange_matches_the_oracle_on_tall_and_long_words(monkeypatch):
     bubble makes tall, and on long random words."""
     transports = []
 
-    def recording(d, old_trace, new_trace, seg_map, *args, **kwargs):
+    def recording(d, old_trace, new_trace, runs, *args, **kwargs):
+        seg_map = segment_map(runs, old_trace.counts)
         transports.append((old_trace, new_trace, seg_map))
-        return _attrs_from_map(d, old_trace, new_trace, seg_map, *args, **kwargs)
+        return _attrs_from_map(d, old_trace, new_trace, runs, *args, **kwargs)
 
     monkeypatch.setattr(wordops, "_attrs_from_map", recording)
     rng = random.Random(1010)
