@@ -40,6 +40,7 @@ __all__ = [
     "right_count",
     "trace_components",
     "component_path",
+    "component_paths",
     "mirror",
     "mirror_events",
     "check_spin_symmetry",
@@ -148,36 +149,34 @@ class FrontDiagram:
         return " ".join(str(e) for e in self.events)
 
 
+_KIND_AT = dict(L="left cusp at", X="crossing at position", R="right cusp at position")
+
+
+def _replay_error(i, ev, cur):
+    """The error for event ``i`` (from 0), ``ev``, on ``cur`` strands."""
+    what = _KIND_AT[ev.kind]
+    return ValidationError(f"event {i + 1} ({ev}): {what} {ev.pos} with {cur} strands")
+
+
 def strand_counts(events, left_count):
     """Strand count in every gap; gap i sits just after event i.
 
     Raises :class:`ValidationError` naming the first offending event if the
-    word does not replay.
+    word does not replay.  :func:`parse_front` bounds a word's size with it
+    before the trace, from which every other reader takes the counts.
     """
     counts = [left_count]
     cur = left_count
     for i, ev in enumerate(events):
-        if ev.kind == "L":
-            if ev.pos > cur + 1:
-                raise ValidationError(
-                    f"event {i + 1} ({ev}): left cusp at {ev.pos} with {cur} strands"
-                )
-            cur += 2
-        else:
-            if ev.pos + 1 > cur:
-                what = "crossing" if ev.kind == "X" else "right cusp"
-                raise ValidationError(
-                    f"event {i + 1} ({ev}): {what} at position {ev.pos} "
-                    f"with {cur} strands"
-                )
-            if ev.kind == "R":
-                cur -= 2
+        if ev.pos > (cur + 1 if ev.kind == "L" else cur - 1):
+            raise _replay_error(i, ev, cur)
+        cur += 2 if ev.kind == "L" else -2 if ev.kind == "R" else 0
         counts.append(cur)
     return counts
 
 
 def right_count(d):
-    return strand_counts(d.events, d.left_count)[-1]
+    return len(trace_components(d).rows[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,10 @@ class Trace:
     A code names one strand from cusp or wall to cusp or wall; a crossing
     keeps it.  ``rows[g]`` holds the codes of gap ``g``, slot s at index
     s - 1; ``code_comp`` and ``code_dir`` give each code's component id and
-    direction (+1 where the canonical traversal runs rightward).  One
-    segment is read with :meth:`comp` and :meth:`dir`.
+    direction (+1 where the canonical traversal runs rightward).  The sweep
+    that builds the rows, checking each event against its row, is the one
+    replay of the word.  One segment is read with :meth:`comp` and
+    :meth:`dir`, each component's traversal with :func:`component_paths`.
 
     A trace is shared only through the memo of :func:`trace_components`,
     which hands the trace of the last word it traced to every later call on
@@ -217,7 +218,7 @@ class Trace:
     code_comp: list  # code -> cid
     code_dir: list  # code -> +1 / -1
     components: list  # TracedComponent, index cid-1
-    counts: list  # strand count per gap
+    counts: list  # strand count per gap, len(rows[g])
 
     def _code(self, gap, slot):
         if 0 <= gap < len(self.rows) and 0 < slot <= len(self.rows[gap]):
@@ -233,59 +234,46 @@ class Trace:
         return self.code_dir[self._code(gap, slot)]
 
 
-def _walk(kinds, poss, start):
-    """The component through segment ``start`` in traversal order, as
-    (gap, slot, direction) triples, and whether it is closed.  The walk
-    heads rightward from ``start`` and turns around at cusps.  Closed, it
-    ends heading left at the left cusp whose lower strand ``start`` is;
-    open, it ends at a wall, after the reversed walk leftward to the other."""
-    nev = len(kinds)
-    runs = []
-    for home, direction in ((start[0], 1), (-1, -1)):
-        gap, slot = start
-        run = [(gap, slot, direction)]
-        runs.append(run)
-        while True:
-            if direction > 0:
-                if gap == nev:
-                    break
-                i = gap
-                nxt = gap + 1
-            else:
-                if gap == 0:
-                    break
-                i = nxt = gap - 1
-            kind, p = kinds[i], poss[i]
-            if kind == "X":
-                if slot == p:
-                    slot += 1
-                elif slot == p + 1:
-                    slot = p
-                gap = nxt
-            elif (kind == "L") == (direction > 0):  # a new pair opens at p
-                if slot >= p:
-                    slot += 2
-                gap = nxt
-            elif slot < p:
-                gap = nxt
-            elif slot > p + 1:
-                slot -= 2
-                gap = nxt
-            elif direction < 0 and gap == home:
-                return run, True
-            else:  # the cusp turns the walk back along the partner strand
-                slot = 2 * p + 1 - slot
-                direction = -direction
-            run.append((gap, slot, direction))
-    forward, back = runs
-    return [(g, s, -dr) for g, s, dr in reversed(back[1:])] + forward, False
+def component_paths(d):
+    """Each component of ``d`` in traversal order, as (gap, slot, direction)
+    triples by id, read off the rows of its trace: a cusp turns the
+    traversal from the code heading into it onto the other.  An open
+    component runs from the wall where it heads into the word, a closed one
+    from its start, heading rightward."""
+    tr = trace_components(d)
+    rows, code_comp, code_dir = tr.rows, tr.code_comp, tr.code_dir
+    segments = [[] for _ in code_comp]  # per code, its (gap, slot) in gap order
+    for g, row in enumerate(rows):
+        for s, code in enumerate(row, 1):
+            segments[code].append((g, s))
+    nxt = {}  # code -> the code the traversal turns onto at its cusp
+    for i, ev in enumerate(d.events):
+        if ev.kind != "X":
+            # a right cusp is entered heading right, a left one heading left
+            row, into = (rows[i], 1) if ev.kind == "R" else (rows[i + 1], -1)
+            a, b = row[ev.pos - 1], row[ev.pos]
+            if code_dir[a] != into:
+                a, b = b, a
+            nxt[a] = b
+    # the code each open component starts on, no cusp leading to it
+    starts = {code_comp[c]: c for c in rows[0] if code_dir[c] > 0}
+    starts.update((code_comp[c], c) for c in rows[-1] if code_dir[c] < 0)
+    paths = {}
+    for comp in tr.components:
+        g, s = comp.start
+        first = code = rows[g][s - 1] if comp.closed else starts[comp.cid]
+        path = paths[comp.cid] = []
+        while not path or code != first:  # until a wall, or round a circle
+            dr = code_dir[code]
+            segs = segments[code] if dr > 0 else reversed(segments[code])
+            path += [(g, s, dr) for g, s in segs]
+            code = nxt.get(code, first)
+    return paths
 
 
 def component_path(d, cid):
-    """Component ``cid`` of ``d`` in traversal order, as (gap, slot,
-    direction) triples; it is walked anew on every call."""
-    start = trace_components(d).components[cid - 1].start
-    return _walk([e.kind for e in d.events], [e.pos for e in d.events], start)[0]
+    """Component ``cid`` of :func:`component_paths`; KeyError if none."""
+    return component_paths(d)[cid]
 
 
 # (left_count, events, trace) of the last word trace_components traced
@@ -302,7 +290,8 @@ def trace_components(d):
 
     The trace of the last word traced is kept, so tracing it again, as the
     next move does with the previous move's output, returns that same
-    trace.
+    trace.  A word that does not replay raises :class:`ValidationError`
+    naming its first offending event.
     """
     global _last
     left_count, events, tr = _last
@@ -321,7 +310,6 @@ def _trace(d):
     root, so that the two ends of the cusp run in opposite directions
     (Tarjan 1975)."""
     events = d.events
-    counts = strand_counts(events, d.left_count)
     row = list(range(0, 2 * d.left_count, 2))
     rows = [tuple(row)]
     parent = list(range(d.left_count))
@@ -340,6 +328,8 @@ def _trace(d):
 
     for i, ev in enumerate(events):
         p = ev.pos
+        if p > (len(row) + 1 if ev.kind == "L" else len(row) - 1):
+            raise _replay_error(i, ev, len(row))
         if ev.kind == "X":
             row[p - 1], row[p] = row[p], row[p - 1]
         elif ev.kind == "L":
@@ -380,7 +370,7 @@ def _trace(d):
         TracedComponent(cid=cid, closed=cid not in open_cids, start=start)
         for cid, start in enumerate(firsts, start=1)
     ]
-    return Trace(rows, code_comp, code_dir, components, counts)
+    return Trace(rows, code_comp, code_dir, components, [len(r) for r in rows])
 
 
 def _attrs_from_map(d, old_trace, new_trace, runs, merge=None):

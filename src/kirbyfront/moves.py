@@ -31,7 +31,6 @@ from .diagram import (
     DiagramError,
     Event,
     check_spin_symmetry,
-    strand_counts,
     trace_components,
 )
 from .invariants import _tally, all_classical_invariants, handle_census
@@ -172,7 +171,7 @@ def clasp(d, site, direction="clasp"):
     s = site.s0
     if direction == "clasp":
         _require(site.e0 == site.e1, "clasp site is an insertion point")
-        counts = strand_counts(d.events, d.left_count)
+        counts = trace_components(d).counts
         _require(site.e0 <= len(d.events), "site beyond the word")
         _require(counts[site.e0] >= s + 1, "clasp needs two adjacent strands")
         return _spin_splice(d, site.e0, site.e0, _clasp_template(s))

@@ -11,7 +11,7 @@ central axis (class="axis").
 
 from __future__ import annotations
 
-from .diagram import COEFF_MINUS, COEFF_PLUS, component_path, trace_components
+from .diagram import COEFF_MINUS, COEFF_PLUS, component_paths, trace_components
 
 __all__ = ["render_svg"]
 
@@ -47,14 +47,14 @@ def render_svg(d):
     paths = []
     gaps = []
     labels = []
-    walks = [component_path(d, comp.cid) for comp in tr.components]
+    walks = component_paths(d)
 
     # one path per component, following the traversal through cusp turns
-    for comp, walk in zip(tr.components, walks):
+    for comp in tr.components:
         color = _PALETTE[(comp.cid - 1) % len(_PALETTE)]
         pts = []
         prev = None
-        for (gap, slot, direction) in walk:
+        for (gap, slot, direction) in walks[comp.cid]:
             x0, y = _xy(gap, slot, height)
             x1, _ = _xy(gap + 1, slot, height)
             seg = [(x0, y), (x1, y)] if direction > 0 else [(x1, y), (x0, y)]
@@ -112,7 +112,7 @@ def render_svg(d):
                 marks.append("⊕")
             if attr.node_minus:
                 marks.append("⊖")
-            gap, slot, _dir = walks[comp.cid - 1][0]
+            gap, slot, _dir = walks[comp.cid][0]
             x, y = _xy(gap + 1, slot, height)
             label = f"{text} {' '.join(marks)}".strip()
             if (x, y) in seen:
@@ -125,8 +125,8 @@ def render_svg(d):
         for comp in tr.components:
             attr = d.attrs[comp.cid - 1]
             for target in attr.dashed_links:
-                g0, s0, _ = walks[comp.cid - 1][0]
-                g1, s1, _ = walks[target - 1][0]
+                g0, s0, _ = walks[comp.cid][0]
+                g1, s1, _ = walks[target][0]
                 x0, y0 = _xy(g0 + 1, s0, height)
                 x1, y1 = _xy(g1 + 1, s1, height)
                 labels.append(

@@ -1,10 +1,11 @@
 """Low-level rewriting machinery on event words.
 
 A rewrite is one word edit, one segment map from the input word to the
-output and one rebuild, which traces only those two words.  A segment map
-is a list of runs ``(gap, new_gap, slots)``, one per input gap it maps:
-``slots`` is None where every strand keeps its slot, else a tuple of
-(slot, new slot) pairs.  A splice replaces windows of the word by
+output and one rebuild, which traces only those two words and replays
+neither otherwise.  A segment map is a list of runs ``(gap, new_gap,
+slots)``, one per input gap it maps: ``slots`` is None where every strand
+keeps its slot (the rebuild checks that the strand count does), else a
+tuple of (slot, new slot) pairs.  A splice replaces windows of the word by
 templates that keep the strand slots entering and leaving each window, so
 component attributes ride along the segments outside the windows without
 global renumbering.
@@ -19,10 +20,8 @@ from .diagram import (
     Event,
     FrontDiagram,
     MoveError,
-    ValidationError,
     _attrs_from_map,
     mirror_events,
-    strand_counts,
     trace_components,
 )
 
@@ -55,7 +54,8 @@ class MoveResult:
 def _rebuild(d, events, runs, error, merge=None):
     """The rewrite of ``d`` to ``events`` on the same walls, with attributes
     carried along the segment map ``runs``; an invalid word is a
-    :class:`MoveError` that starts with ``error``."""
+    :class:`MoveError` that starts with ``error``, and so, after it, is a
+    run that keeps every slot of a gap whose strand count changed."""
     # d is traced before the output, so a caller that has just traced d
     # finds it in the memo
     tr = trace_components(d)
@@ -70,6 +70,9 @@ def _rebuild(d, events, runs, error, merge=None):
         new_trace = trace_components(out)
     except DiagramError as exc:
         raise MoveError(f"{error}: {exc}") from exc
+    for g, ng, slots in runs:
+        if slots is None and tr.counts[g] != new_trace.counts[ng]:
+            raise MoveError("rewrite does not preserve the window boundary")
     attrs, old_to_new, fresh = _attrs_from_map(d, tr, new_trace, runs, merge=merge)
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
 
@@ -100,25 +103,12 @@ def splice(d, windows, merge=None):
     word order, in one rewrite.
 
     Each replacement must preserve the strand count at both edges of its
-    window; a segment outside the windows keeps its slot, and its gap moves
-    by the length change of the windows left of it.
+    window, which the rebuild checks: a segment outside the windows keeps
+    its slot, and its gap moves by the length change of those left of it.
     """
     events, gap_map = _splice_word(d.events, windows)
-    error = "rewrite produces an invalid word"
-    try:
-        new_counts = strand_counts(events, d.left_count)
-    except ValidationError as exc:
-        raise MoveError(f"{error}: {exc}") from exc
-    old_counts = trace_components(d).counts
-    for i0, i1, new_events in windows:
-        right = gap_map[i1]
-        if (
-            new_counts[right - len(new_events)] != old_counts[i0]
-            or new_counts[right] != old_counts[i1]
-        ):
-            raise MoveError("rewrite does not preserve the window boundary")
     runs = [(g, ng, None) for g, ng in gap_map.items()]
-    return _rebuild(d, events, runs, error, merge=merge)
+    return _rebuild(d, events, runs, "rewrite produces an invalid word", merge=merge)
 
 
 def erase_components(d, cids):

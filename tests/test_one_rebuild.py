@@ -5,20 +5,24 @@ the forward slide they replaced are kept below verbatim as oracles and
 compared with the library on seeded corpora: every splice-based move at
 every site of random spin-1 and spin-2 diagrams and births on them, and
 every forward slide of a fifth of ``test_tally``'s diagrams and of the
-spin-2 trivial-bypass pair and births on it.
+spin-2 trivial-bypass pair and births on it.  A last test counts the
+replays and traces of each splice-based move: one trace, of its output.
 """
 
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
-from kirbyfront import moves
+from kirbyfront import diagram, moves
 from kirbyfront.diagram import (
     COEFF_MINUS,
     COEFF_NONE,
     DiagramError,
     ValidationError,
+    parse_front,
+    serialize_front,
     strand_counts,
     trace_components,
 )
@@ -39,6 +43,7 @@ from kirbyfront.moves import (
     _strand_comp,
     birth_cancel_pair,
     clasp,
+    crossing_change,
     exchange,
     handleslide,
     normalize,
@@ -390,3 +395,57 @@ def test_a_spun_slide_over_a_component_not_its_own_mirror_is_refused_first():
             hits[d.spin, "refused first"] += 1
     assert hits[1, "refused first"] > 5000 and hits[2, "refused first"] > 100, hits
     assert hits[1, "own mirror"] > 100 and hits[2, "own mirror"] > 100, hits
+
+
+# ---------------------------------------------------------------------------
+# One replay per rewrite
+# ---------------------------------------------------------------------------
+
+
+def _counted(monkeypatch, module, name):
+    """Rebind every kirbyfront module's name for ``module.name`` to a
+    wrapper that records its calls; return the list of calls."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "kirbyfront" and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_a_rewrite_replays_only_its_output(monkeypatch):
+    """``parse_front`` replays its word once with ``strand_counts``; no
+    move does.  Every splice-based move of ``test_tally``'s random
+    diagrams, at spin 0 and 1, on an input traced first, computes one
+    trace if it succeeds, of its output: its input and its spin checks
+    read the memo."""
+    replays = _counted(monkeypatch, diagram, "strand_counts")
+    traced = _counted(monkeypatch, diagram, "_trace")
+    parse_front(serialize_front(DIAGRAMS[0]))
+    assert len(replays) == 1 and len(traced) == 1
+    hits = Counter()
+    for d in DIAGRAMS[:120]:
+        calls = [c for c in _spun_calls(d) if c[0] is not normalize]
+        if d.spin == 0:
+            calls += [(crossing_change, d, site_at(g, 1)) for g in range(len(d.events))]
+        for c in calls:
+            trace_components(d)
+            replays.clear()
+            traced.clear()
+            got = _outcome(*c)
+            assert replays == [], c
+            if isinstance(got, MoveResult):
+                out = got.diagram
+                assert [(t.left_count, t.events) for (t,) in traced] == [
+                    (out.left_count, out.events)
+                ], c
+                hits[d.spin, c[0].__name__] += 1
+            else:
+                assert len(traced) <= 1, c
+                hits[d.spin, "refused"] += 1
+    assert min(hits.values()) >= 5 and len(hits) == 15, hits

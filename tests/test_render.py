@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 from kirbyfront.diagram import Event, FrontDiagram, default_attrs
@@ -41,3 +42,14 @@ def test_golden_mazur_render():
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(svg)
     assert svg == GOLDEN.read_text()
+
+
+def test_render_is_linear_in_the_components():
+    """20,000 disjoint unknots render in well under 5 s, one path each: the
+    paths are read off the rows of one trace, where a walk per component
+    over the whole word took over 20 s."""
+    d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("R", 1)) * 20_000))
+    start = time.perf_counter()
+    svg = render_svg(d)
+    assert time.perf_counter() - start < 5
+    assert svg.count("<path") == 20_000

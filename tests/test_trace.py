@@ -307,6 +307,19 @@ def test_accessors_refuse_a_segment_the_word_lacks():
     assert not _strands_have_nodes(noded, tr, 2, range(0, 3))
 
 
+def test_component_path_refuses_an_id_the_word_lacks():
+    """``component_path`` raises KeyError(cid) for an id outside 1..N, as
+    ``comp`` does for a missing segment, never wrapping to the last
+    component."""
+    d = _two_unknots(0)  # L1 L3 R3 R1
+    assert component_path(d, 1)[0] == (1, 1, 1)
+    assert component_path(d, 2)[0] == (2, 3, 1)
+    for cid in (0, -1, 3):
+        with pytest.raises(KeyError) as exc:
+            component_path(d, cid)
+        assert exc.value.args == (cid,)
+
+
 # ---------------------------------------------------------------------------
 # One trace per word per move
 # ---------------------------------------------------------------------------

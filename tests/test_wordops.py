@@ -39,6 +39,7 @@ from kirbyfront.moves import (
 from kirbyfront.wordops import (
     MoveError,
     MoveResult,
+    _splice_word,
     double_component,
     erase_components,
     erase_segments,
@@ -217,6 +218,34 @@ def test_splice_rejects_boundary_breakage():
     d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("R", 1))))
     with pytest.raises(MoveError):
         splice(d, [(1, 1, (Event("L", 1),))])
+
+
+def test_splice_refuses_an_invalid_word_then_the_boundary_then_a_merge():
+    """The shared rewrite tail refuses an invalid word first, then a run
+    that keeps the slots of a gap whose strand count changed, then a merge
+    without a rule.  An erasure of a circuit at the left wall keeps the
+    wall's strands, and the window check refuses it too."""
+    d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("R", 1)) * 2))
+    with pytest.raises(
+        MoveError,
+        match=r"^rewrite produces an invalid word: event 3 \(R1\): right cusp at "
+        r"position 1 with 0 strands$",
+    ):
+        splice(d, [(2, 2, (Event("R", 1),))])
+    boundary = "^rewrite does not preserve the window boundary$"
+    for window in ((1, 1, (Event("L", 1),)), (1, 3, (Event("L", 2),))):
+        with pytest.raises(MoveError, match=boundary):
+            splice(d, [window])
+    # the second window's runs, unchecked, merge components 1 and 2
+    events, gap_map = _splice_word(d.events, [(1, 3, (Event("L", 2),))])
+    new_trace = trace_components(replace(d, events=tuple(events), attrs=()))
+    runs = [(g, ng, None) for g, ng in gap_map.items()]
+    with pytest.raises(MoveError, match=r"merged components \[1, 2\]"):
+        _attrs_from_map(d, trace_components(d), new_trace, runs)
+    # component 1 of R1 L1 R1 on two wall strands is open at the left wall
+    cut = default_attrs(FrontDiagram(left_count=2, events=d.events[1:]))
+    with pytest.raises(MoveError, match=boundary):
+        erase_segments(cut, {(0, 1), (0, 2)})
 
 
 def test_erase_components_rejects_interleaving():
@@ -415,6 +444,21 @@ def _oracle_erase_components(d, cids, name=None):
     if fresh:
         raise MoveError("erasure created components out of nothing")
     return MoveResult(replace(out, attrs=attrs), old_to_new, fresh)
+
+
+def _expected_erase_segments(d, segs):
+    """The oracle, except that a circuit with both ends at the left wall is
+    refused with the window text: its erasure keeps the wall's strands, so
+    each gap the circuit misses gains two, which the rebuild refuses where
+    the oracle found components out of nothing."""
+    try:
+        return _oracle_erase_segments(d, segs)
+    except MoveError as exc:
+        gaps = {g for g, _s in segs}
+        both_ends_left = 0 in gaps and len(gaps) <= len(d.events)
+        if both_ends_left and str(exc).endswith("components out of nothing"):
+            raise MoveError("rewrite does not preserve the window boundary") from None
+        raise
 
 
 def _oracle_erase_segments(d, segs, name=None):
@@ -860,7 +904,7 @@ def test_rewrites_match_parent_oracles(monkeypatch):
         pairs.append((erase_components, _expected_erase_components, (d, [0])))
         for comp in tr.components:
             segs = {seg for seg, c in segment_maps(tr)[0].items() if c == comp.cid}
-            pairs.append((erase_segments, _oracle_erase_segments, (d, segs)))
+            pairs.append((erase_segments, _expected_erase_segments, (d, segs)))
             for side in ("below", "above"):
                 pairs.append(
                     (double_component, _oracle_double_component, (d, comp.cid, side))
