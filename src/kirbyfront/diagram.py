@@ -209,9 +209,9 @@ class Trace:
     :meth:`dir`, each component's traversal with :func:`component_paths`.
 
     A trace is shared only through the memo of :func:`trace_components`,
-    which hands the trace of the last word it traced to every later call on
-    that word; no function takes or returns one otherwise.  A shared trace
-    must not be mutated.
+    which keeps the traces of the last two words asked for and hands each
+    to every later call on its word; no function takes or returns one
+    otherwise.  A shared trace must not be mutated.
     """
 
     rows: list  # per gap, a tuple of codes
@@ -276,8 +276,11 @@ def component_path(d, cid):
     return component_paths(d)[cid]
 
 
-# (left_count, events, trace) of the last word trace_components traced
-_last = (None, None, None)
+# The words trace_components returned last, each as (left_count, events,
+# trace), the latest first: a rewrite that traces a word of its own
+# between its input and its output keeps its input's trace
+_MEMO_SIZE = 2
+_recent = ()
 
 
 def trace_components(d):
@@ -288,17 +291,20 @@ def trace_components(d):
     starting at that segment heading rightward, each open one from wall to
     wall through that segment heading rightward.
 
-    The trace of the last word traced is kept, so tracing it again, as the
-    next move does with the previous move's output, returns that same
-    trace.  A word that does not replay raises :class:`ValidationError`
-    naming its first offending event.
+    The traces of the last two words asked for are kept, so tracing one of
+    them again, as the next move does with the previous move's output,
+    returns that same trace.  A word that does not replay raises
+    :class:`ValidationError` naming its first offending event.
     """
-    global _last
-    left_count, events, tr = _last
-    if left_count == d.left_count and (events is d.events or events == d.events):
-        return tr
+    global _recent
+    for entry in _recent:
+        left_count, events, tr = entry
+        if left_count == d.left_count and (events is d.events or events == d.events):
+            if entry is not _recent[0]:
+                _recent = (entry, *(e for e in _recent if e is not entry))
+            return tr
     tr = _trace(d)
-    _last = (d.left_count, d.events, tr)
+    _recent = ((d.left_count, d.events, tr), *_recent[: _MEMO_SIZE - 1])
     return tr
 
 

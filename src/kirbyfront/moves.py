@@ -37,13 +37,12 @@ from .invariants import _tally, all_classical_invariants, handle_census
 from .wordops import (
     MoveError,
     MoveResult,
+    _erase_word,
     _push_off,
     _rebuild,
-    _segments,
     _splice_word,
     _try_swap,
     erase_components,
-    erase_segments,
     exchange_canonical,
     mirror_events,
     same_diagram,
@@ -389,56 +388,47 @@ def _slide_back(d, moving, over, site):
         "slide-back site does not match a junction",
     )
     tr = trace_components(d)
+    # the strands entering and leaving the junction are `moving`'s, and so
+    # is each of its cusps
     _require(
-        _strand_comp(tr, i, site.s0) == moving
-        and _strand_comp(tr, i, site.s0 + 1) == moving,
+        all(
+            _strand_comp(tr, g, s) == moving
+            for g in (i, site.e1)
+            for s in (site.s0, site.s0 + 1)
+        ),
         "junction strands do not belong to the moving component",
     )
-    windows = _spin_windows(d, i, i + width, ())
-    res = splice(d, windows)
-    d2 = _check_spin(res.diagram)
-    tr2 = trace_components(d2)
+    events, gap_map = _splice_word(d.events, _spin_windows(d, i, i + width, ()))
+    bare = _check_spin(replace(d, events=tuple(events), attrs=()))
+    tr2 = trace_components(bare)
     # removing the junction splits `moving`: one lane continues as the
     # surviving component, the other belongs to the freed parallel circuit
-    i_final = i - sum(b - a for (a, b, _e) in windows if a < i)
-    lane0 = _strand_comp(tr2, i_final, site.s0)
-    lane1 = _strand_comp(tr2, i_final, site.s0 + 1)
-    _require(lane0 != lane1, "removing the junction did not free a circuit")
-    over2 = res.old_to_new.get(over)
-    _require(over2 is not None, "the surgery component vanished")
-
-    out = None
-    keep = None
-    for circuit, kept in ((lane1, lane0), (lane0, lane1)):
+    lanes = [_strand_comp(tr2, gap_map[i], s) for s in (site.s0, site.s0 + 1)]
+    _require(lanes[0] != lanes[1], "removing the junction did not free a circuit")
+    # no cusp of the junction or of its mirror is the first of `over`, so
+    # its start lies outside the windows and keeps its slot
+    start = tr.components[over - 1].start
+    over2 = tr2.comp(gap_map[start[0]], start[1])
+    for circuit in reversed(lanes):
         if circuit == over2 or not tr2.components[circuit - 1].closed:
             continue
-        # dashed links to `moving` follow the lane that stays
-        relink = {circuit: kept}
-        attrs = tuple(
-            replace(a, dashed_links=tuple(relink.get(t, t) for t in a.dashed_links))
-            for a in d2.attrs
-        )
+        gone = [c == circuit for c in tr2.code_comp]
         try:
-            rw = erase_segments(replace(d2, attrs=attrs), _segments(tr2, {circuit}))
+            new_events, runs = _erase_word(bare.events, tr2, gone)
+            # `moving`, and so each dashed link to it, goes to the lane
+            # that stays
+            runs = [(g, *runs[ng][1:]) for g, ng in gap_map.items()]
+            rw = _rebuild(d, new_events, runs, "erasure left an invalid word")
             # the freed circuit is the push-off of `over`: pushing `over`
-            # off again (the same word on either side) rebuilds d2
-            rebuilt = _push_off(rw.diagram, rw.old_to_new[over2], "below")[0]
+            # off again (the same word on either side) rebuilds the bare word
+            rebuilt = _push_off(rw.diagram, rw.old_to_new[over], "below")[0]
         except MoveError:
             continue
-        if tuple(rebuilt) == d2.events:
-            out, keep = rw, kept
-            break
-    _require(out is not None, "site does not span a slide junction (no parallel"
-             " circuit of the surgery component is freed)")
-    _check_spin(out.diagram)
-    mapping = {}
-    for k, v in res.old_to_new.items():
-        if k == moving:
-            continue
-        if v in out.old_to_new:
-            mapping[k] = out.old_to_new[v]
-    mapping[moving] = out.old_to_new[keep]
-    return MoveResult(out.diagram, mapping)
+        if tuple(rebuilt) == bare.events:
+            _check_spin(rw.diagram)
+            return rw
+    raise MoveError("site does not span a slide junction (no parallel"
+                    " circuit of the surgery component is freed)")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ keeps its slot (the rebuild checks that the strand count does), else a
 tuple of (slot, new slot) pairs.  A splice replaces windows of the word by
 templates that keep the strand slots entering and leaving each window, so
 component attributes ride along the segments outside the windows without
-global renumbering.
+global renumbering.  An erasure removes whole closed circuits, strands and
+events, in one pass over the rows of the input's trace; each kept strand
+moves down by the erased strands below it.
 """
 
 from __future__ import annotations
@@ -122,71 +124,62 @@ def erase_components(d, cids):
     rows = tr.rows
     dead = set(cids)
     gone = [c in dead for c in tr.code_comp]  # per code
-    for row in (rows[0], rows[-1]):  # the left wall, then the right wall
-        for code in row:
-            if gone[code]:
-                c = tr.code_comp[code]
-                raise MoveError(f"component {c} is open; only closed components erase")
+    events, runs = _erase_word(d.events, tr, gone)
     for i, ev in enumerate(d.events):
         if ev.kind == "X" and gone[rows[i][ev.pos - 1]] != gone[rows[i][ev.pos]]:
             raise MoveError("erased component crosses a kept component (interleaved)")
-    return erase_segments(d, _segments(tr, dead))
-
-
-def _segments(tr, cids):
-    """The (gap, slot) of every segment of the components ``cids``."""
-    comp = tr.code_comp
-    return {
-        (g, s)
-        for g, row in enumerate(tr.rows)
-        for s, code in enumerate(row, 1)
-        if comp[code] in cids
-    }
+    return _rebuild(d, events, runs, "erasure left an invalid word")
 
 
 def erase_segments(d, segs):
     """Erase a set of strand segments (a circuit) plus its internal events.
 
+    A strand from cusp to cusp with a segment in ``segs`` is erased whole.
     Crossings between a circuit strand and an outside strand are removed
     (the outside strand runs straight through); cusps must join two circuit
-    strands or two outside strands.
+    strands or two outside strands, and a circuit open at either wall is
+    refused.
     """
-    counts = trace_components(d).counts
-    dead_by_gap = {}
-    for (g, s) in segs:
-        dead_by_gap.setdefault(g, set()).add(s)
+    tr = trace_components(d)
+    gone = [False] * len(tr.code_comp)  # per code
+    for g, s in segs:
+        gone[tr._code(g, s)] = True
+    events, runs = _erase_word(d.events, tr, gone)
+    return _rebuild(d, events, runs, "erasure left an invalid word")
+
+
+def _erase_word(events, tr, gone):
+    """The word ``events``, traced as ``tr``, with every strand whose code
+    ``gone`` marks erased, and the segment map of the kept strands (one run
+    per gap, in gap order).  An erased strand at a wall, or a cusp joining
+    an erased strand to a kept one, is refused; a crossing of an erased
+    strand is dropped."""
+    rows = tr.rows
+    for row in (rows[0], rows[-1]):  # the left wall, then the right wall
+        for code in row:
+            if gone[code]:
+                c = tr.code_comp[code]
+                raise MoveError(f"component {c} is open; only closed components erase")
 
     def run(gap):
-        dead = dead_by_gap.get(gap)
-        if not dead:
-            return gap, len(new_events), None
-        live = [s for s in range(1, counts[gap] + 1) if s not in dead]
-        return gap, len(new_events), tuple(zip(live, range(1, len(live) + 1)))
+        live = [s for s, code in enumerate(rows[gap], 1) if not gone[code]]
+        if len(live) == len(rows[gap]):
+            return gap, len(out), None
+        return gap, len(out), tuple(zip(live, range(1, len(live) + 1)))
 
-    new_events = []
-    runs = [run(0)]
-
-    for i, ev in enumerate(d.events):
-        gap = i + 1
-        before_dead = dead_by_gap.get(i, set())
-        after_dead = dead_by_gap.get(gap, set())
-        if ev.kind == "X":
-            keep = ev.pos not in before_dead and (ev.pos + 1) not in before_dead
-        else:  # a cusp's pair is after a left cusp and before a right one
-            pair = after_dead if ev.kind == "L" else before_dead
-            keep = ev.pos not in pair
-            if keep == ((ev.pos + 1) in pair):
-                raise MoveError("cusp joins a circuit strand to an outside strand")
-
-        if keep:
-            below = sum(1 for s in before_dead if s < ev.pos)
-            new_events.append(Event(ev.kind, ev.pos - below))
-        runs.append(run(gap))
-
-    rw = _rebuild(d, new_events, runs, "circuit erasure left an invalid word")
-    if rw.fresh:
-        raise MoveError("circuit erasure created components out of nothing")
-    return rw
+    out = []
+    runs = [(0, 0, None)]
+    for i, ev in enumerate(events):
+        # a left cusp's pair is after it, every other event's before it
+        pair = rows[i + 1 if ev.kind == "L" else i][ev.pos - 1 : ev.pos + 1]
+        lo, hi = gone[pair[0]], gone[pair[1]]
+        if ev.kind != "X" and lo != hi:
+            raise MoveError("cusp joins a circuit strand to an outside strand")
+        if not (lo or hi):
+            below = sum(gone[code] for code in rows[i][: ev.pos - 1])
+            out.append(Event(ev.kind, ev.pos - below) if below else ev)
+        runs.append(run(i + 1))
+    return out, runs
 
 
 def double_component(d, cid, side):

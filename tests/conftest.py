@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kirbyfront import diagram
 from kirbyfront.diagram import (
     COEFF_MINUS,
     ComponentAttr,
@@ -64,6 +65,17 @@ def strand_sites(d):
 @pytest.fixture
 def rng():
     return random.Random(1729)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A function that empties the memo of ``trace_components``; the memo
+    is put back as it was when the test ends."""
+
+    def empty():
+        monkeypatch.setattr(diagram, "_recent", ())
+
+    return empty
 
 
 def segment_maps(tr):

@@ -418,12 +418,12 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-def test_a_rewrite_replays_only_its_output(monkeypatch):
+def test_a_rewrite_replays_only_its_output(monkeypatch, empty_memo):
     """``parse_front`` replays its word once with ``strand_counts``; no
     move does.  Every splice-based move of ``test_tally``'s random
-    diagrams, at spin 0 and 1, on an input traced first, computes one
-    trace if it succeeds, of its output: its input and its spin checks
-    read the memo."""
+    diagrams, at spin 0 and 1, from a memo that holds only its input,
+    computes one trace if it succeeds, of its output: its input and its
+    spin checks read the memo."""
     replays = _counted(monkeypatch, diagram, "strand_counts")
     traced = _counted(monkeypatch, diagram, "_trace")
     parse_front(serialize_front(DIAGRAMS[0]))
@@ -434,6 +434,7 @@ def test_a_rewrite_replays_only_its_output(monkeypatch):
         if d.spin == 0:
             calls += [(crossing_change, d, site_at(g, 1)) for g in range(len(d.events))]
         for c in calls:
+            empty_memo()
             trace_components(d)
             replays.clear()
             traced.clear()

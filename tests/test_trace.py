@@ -326,13 +326,13 @@ def test_component_path_refuses_an_id_the_word_lacks():
 
 
 @pytest.fixture
-def traced(computed, monkeypatch):
+def traced(computed, empty_memo):
     """Count the traces computed per word in one move, which starts with
     an empty memo."""
 
     def once(fn, *args, **kwargs):
         computed.clear()
-        monkeypatch.setattr(diagram, "_last", (None, None, None))
+        empty_memo()
         res = fn(*args, **kwargs)
         seen = Counter(computed)
         assert seen and max(seen.values()) == 1, (fn.__name__, dict(seen))
@@ -397,7 +397,7 @@ def test_no_move_traces_a_word_twice(traced, spin):
         assert traced(crossing_change, out, site_at(2, 2)).diagram == clasped
 
 
-def test_a_move_traces_only_its_input_and_its_output(computed, monkeypatch):
+def test_a_move_traces_only_its_input_and_its_output(computed, empty_memo):
     """From an empty memo, a forward slide traces no push-off diagram and a
     spun clasp no half-done word: each traces its input, then its output."""
     d0, d1 = _two_unknots(0), _two_unknots(1)
@@ -405,14 +405,14 @@ def test_a_move_traces_only_its_input_and_its_output(computed, monkeypatch):
         (d0, lambda: handleslide(d0, 1, 2, "minus_up", site_at(2, 2))),
         (d1, lambda: clasp(d1, site_at(1, 1), "clasp")),
     ):
-        monkeypatch.setattr(diagram, "_last", (None, None, None))
+        empty_memo()
         computed.clear()
         out = move().diagram
         assert computed == [(d.left_count, d.events), (out.left_count, out.events)]
 
 
 # ---------------------------------------------------------------------------
-# The memo: the last word traced
+# The memo: the last two words asked for
 # ---------------------------------------------------------------------------
 
 
@@ -428,8 +428,9 @@ def _one_event_changed(rng, d):
 def test_memo_returns_what_a_fresh_trace_returns():
     """Every call, hit or miss, gives the fields of a fresh ``_trace``; a hit
     is the stored trace, found also from new Event objects; another wall or
-    one changed event misses; an invalid word raises each time and keeps
-    the stored trace."""
+    one changed event misses; one valid other word keeps the stored trace,
+    two in a row evict it; an invalid word raises each time and keeps the
+    stored trace."""
     rng = random.Random(8080)
     words = _inputs()
     rng.shuffle(words)
@@ -443,22 +444,24 @@ def test_memo_returns_what_a_fresh_trace_returns():
         copy = replace(d, name="copy", events=tuple(Event(e.kind, e.pos) for e in d.events))
         assert trace_components(copy) is tr
         hits += 1
-        others = [replace(d, left_count=d.left_count + 2)]
+        walls = [replace(d, left_count=d.left_count + k) for k in (2, 4)]
+        others = walls[:1]
         if d.events:
             others.append(_one_event_changed(rng, d))
         for other in others:
             got = _outcome(trace_components, other)
             assert got == _outcome(diagram._trace, other), (other.left_count, other.word())
-            # a valid other word replaced the entry; an invalid one left it
-            valid = not isinstance(got[0], str)
-            assert (trace_components(d) is tr) != valid
-            misses += valid
-            tr = trace_components(d)
+            assert trace_components(d) is tr
+            misses += not isinstance(got[0], str)
+        for wall in walls:
+            trace_components(wall)
+        evicted = trace_components(d)
+        assert evicted is not tr
+        assert _outcome(trace_components, d) == _outcome(diagram._trace, d)
         for _ in range(2):
             with pytest.raises(ValidationError, match="event 1 \\(R1\\)"):
                 trace_components(bad)
-        assert trace_components(d) is tr
-        assert _outcome(trace_components, d) == _outcome(diagram._trace, d)
+        assert trace_components(d) is evicted
     assert hits > 2500 and misses > 4000
 
 

@@ -223,8 +223,8 @@ def test_splice_rejects_boundary_breakage():
 def test_splice_refuses_an_invalid_word_then_the_boundary_then_a_merge():
     """The shared rewrite tail refuses an invalid word first, then a run
     that keeps the slots of a gap whose strand count changed, then a merge
-    without a rule.  An erasure of a circuit at the left wall keeps the
-    wall's strands, and the window check refuses it too."""
+    without a rule.  An erasure of a circuit at the left wall is refused
+    before any of them."""
     d = default_attrs(FrontDiagram(events=(Event("L", 1), Event("R", 1)) * 2))
     with pytest.raises(
         MoveError,
@@ -244,7 +244,8 @@ def test_splice_refuses_an_invalid_word_then_the_boundary_then_a_merge():
         _attrs_from_map(d, trace_components(d), new_trace, runs)
     # component 1 of R1 L1 R1 on two wall strands is open at the left wall
     cut = default_attrs(FrontDiagram(left_count=2, events=d.events[1:]))
-    with pytest.raises(MoveError, match=boundary):
+    opened = "^component 1 is open; only closed components erase$"
+    with pytest.raises(MoveError, match=opened):
         erase_segments(cut, {(0, 1), (0, 2)})
 
 
@@ -364,16 +365,23 @@ def _oracle_window(d, windows, merge):
     return _oracle_splice(d, i0, i1, new_events, merge)
 
 
+def _refuse_at_the_walls(d, erased):
+    """Refuse an erasure of ``d`` that reaches a wall, naming the component
+    of the first segment (gap, slot) there, left wall first, for which
+    ``erased(tr, gap, slot)`` holds."""
+    tr = trace_components(d)
+    for gap in (0, len(d.events)):
+        for s in range(1, tr.counts[gap] + 1):
+            if erased(tr, gap, s):
+                c = tr.comp(gap, s)
+                raise MoveError(f"component {c} is open; only closed components erase")
+
+
 def _expected_erase_components(d, cids):
     """The oracle, except that a component open at the right wall only is
     refused like one open at the left wall, which the oracle erased."""
-    tr = trace_components(d)
     dead = set(cids)
-    for gap in (0, len(d.events)):
-        for s in range(1, tr.counts[gap] + 1):
-            c = tr.comp(gap, s)
-            if c in dead:
-                raise MoveError(f"component {c} is open; only closed components erase")
+    _refuse_at_the_walls(d, lambda tr, g, s: tr.comp(g, s) in dead)
     return _oracle_erase_components(d, cids)
 
 
@@ -447,18 +455,12 @@ def _oracle_erase_components(d, cids, name=None):
 
 
 def _expected_erase_segments(d, segs):
-    """The oracle, except that a circuit with both ends at the left wall is
-    refused with the window text: its erasure keeps the wall's strands, so
-    each gap the circuit misses gains two, which the rebuild refuses where
-    the oracle found components out of nothing."""
-    try:
-        return _oracle_erase_segments(d, segs)
-    except MoveError as exc:
-        gaps = {g for g, _s in segs}
-        both_ends_left = 0 in gaps and len(gaps) <= len(d.events)
-        if both_ends_left and str(exc).endswith("components out of nothing"):
-            raise MoveError("rewrite does not preserve the window boundary") from None
-        raise
+    """The oracle, except that a circuit open at either wall is refused up
+    front, as :func:`_expected_erase_components` refuses a component: the
+    oracle erased one open at the right wall only, and of one at the left
+    wall it kept the wall's strands."""
+    _refuse_at_the_walls(d, lambda tr, g, s: (g, s) in segs)
+    return _oracle_erase_segments(d, segs)
 
 
 def _oracle_erase_segments(d, segs, name=None):
