@@ -128,7 +128,8 @@ class FrontDiagram:
 
     ``left_count`` strands enter at the left wall; a closed diagram has
     ``left_count == 0`` and derived right count 0.  ``attrs[i]`` decorates
-    the component with canonical id ``i + 1``.
+    the component with canonical id ``i + 1``; empty ``attrs`` means every
+    component is bare.  Read a component's decorations with :meth:`attr`.
     """
 
     name: str = "d"
@@ -147,6 +148,13 @@ class FrontDiagram:
 
     def word(self):
         return " ".join(str(e) for e in self.events)
+
+    def attr(self, cid):
+        """The decorations of component ``cid`` (from 1)."""
+        return self.attrs[cid - 1] if self.attrs else _BARE
+
+
+_BARE = ComponentAttr()
 
 
 _KIND_AT = dict(L="left cusp at", X="crossing at position", R="right cusp at position")
@@ -418,7 +426,7 @@ def _attrs_from_map(d, old_trace, new_trace, runs, merge=None):
             old_to_new[oc] = nc0 + 1
 
     def old_attr(src, oc):
-        a = d.attrs[oc - 1] if d.attrs else ComponentAttr()
+        a = d.attr(oc)
         return a if src[oc] > 0 else replace(a, orientation=-a.orientation)
 
     attrs = []
@@ -426,7 +434,7 @@ def _attrs_from_map(d, old_trace, new_trace, runs, merge=None):
     for nc0, src in enumerate(sources):
         if not src:
             fresh.append(nc0 + 1)
-            attrs.append(ComponentAttr(label=""))
+            attrs.append(_BARE)
         elif len(src) == 1:
             attrs.append(old_attr(src, next(iter(src))))
         else:

@@ -8,8 +8,10 @@ closed component of a spin-0 diagram.
 
 Cusps and crossings are tallied once per trace: one walk of the word
 counts every component's cusps and files every crossing under its
-component pair, and the invariants, the linking matrix, the homology
-presentation and the move preconditions all read that tally.
+component pair, and the invariants, the linking data and the move
+preconditions all read that tally.  The linking matrix and the homology
+presentation share one extended linking matrix, over the subcritical +1
+unknots and then the -1 components; the linking matrix is its -1 block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .diagram import (
     COEFF_MINUS,
     COEFF_PLUS,
     DiagramError,
-    default_attrs,
     trace_components,
 )
 from .smith import smith_normal_form
@@ -79,16 +80,10 @@ def crossing_data(d):
         front = tr.rows[i][ev.pos]  # moves down: in front
         cb = tr.code_comp[back]
         cf = tr.code_comp[front]
-        eps_b = tr.code_dir[back] * _orient(d, cb)
-        eps_f = tr.code_dir[front] * _orient(d, cf)
+        eps_b = tr.code_dir[back] * d.attr(cb).orientation
+        eps_f = tr.code_dir[front] * d.attr(cf).orientation
         out.append((i, cf, cb, eps_f * eps_b))
     return out
-
-
-def _orient(d, cid):
-    if d.attrs:
-        return d.attrs[cid - 1].orientation
-    return 1
 
 
 def _tally(d, tr):
@@ -99,13 +94,14 @@ def _tally(d, tr):
     ``(a, a)``.  Signs are those of :func:`crossing_data`."""
     rows, comp, dirs = tr.rows, tr.code_comp, tr.code_dir
     cusps = {c.cid: [0, 0, 0, 0] for c in tr.components}
+    orient = [None] + [d.attr(c.cid).orientation for c in tr.components]  # by id
     pairs = {}
     for i, ev in enumerate(d.events):
         p = ev.pos
         if ev.kind == "X":
             back, front = rows[i][p - 1], rows[i][p]
             cb, cf = comp[back], comp[front]
-            sign = dirs[back] * _orient(d, cb) * dirs[front] * _orient(d, cf)
+            sign = dirs[back] * orient[cb] * dirs[front] * orient[cf]
             pairs.setdefault((cb, cf) if cb <= cf else (cf, cb), []).append((i, sign))
             continue
         left = ev.kind == "L"
@@ -114,7 +110,7 @@ def _tally(d, tr):
         # Leaving a left cusp rightward along the lower strand means the
         # traversal came down through the cusp; at a right cusp arriving
         # rightward along the lower strand means it goes up.
-        up = dirs[row[p] if left else row[p - 1]] * _orient(d, cid) > 0
+        up = dirs[row[p] if left else row[p - 1]] * orient[cid] > 0
         counts = cusps[cid]
         counts[0 if left else 1] += 1
         counts[2 if up else 3] += 1
@@ -165,7 +161,7 @@ def all_classical_invariants(d):
 def _classify(d, cid):
     """Handle index class of a component: 'n' (critical), 'n+1', 'n-1'
     (subcritical), or None for an undecorated Legendrian."""
-    a = d.attrs[cid - 1]
+    a = d.attr(cid)
     if a.coefficient == COEFF_MINUS:
         return "n"
     if a.coefficient == COEFF_PLUS:
@@ -182,12 +178,10 @@ def _classify(d, cid):
 def handle_census(d):
     """Handle counts by index (the implicit 0-handle included) and Euler
     characteristic of the presented domain; n = spin + 2."""
-    if not d.attrs:
-        d = default_attrs(d)
     n = d.spin + 2
     counts = {0: 1}
-    for cid in range(1, len(d.attrs) + 1):
-        cls = _classify(d, cid)
+    for comp in trace_components(d).components:
+        cls = _classify(d, comp.cid)
         if cls is None:
             continue
         k = {"n": n, "n+1": n + 1, "n-1": n - 1}[cls]
@@ -197,33 +191,34 @@ def handle_census(d):
 
 
 def _surgery_data(d, what):
-    """The pass that linking and homology data share: the trace of the
-    decorated diagram, the -1 ids and the subcritical +1 ids in canonical
-    order, per unordered pair of distinct components the signed linking
-    number and the geometric pass count (crossings / 2), and the tb of
-    each -1 component, all read from one tally."""
+    """The pass that linking and homology data share: the subcritical +1
+    ids and the -1 ids in canonical order, the extended linking matrix over
+    those ids in that order, and the tally's crossing pairs.  The matrix
+    has tb - 1 on the diagonal of a -1 component, 0 on that of a +1 unknot
+    and between two of them, and the signed linking number everywhere
+    else."""
     if d.spin != 0:
         raise InvariantError(f"{what} data is defined for spin 0 only")
-    if not d.attrs:
-        d = default_attrs(d)
     tr = trace_components(d)
-    minus = [
-        c.cid for c in tr.components if d.attrs[c.cid - 1].coefficient == COEFF_MINUS
-    ]
-    plus_sub = [
-        c.cid
-        for c in tr.components
-        if d.attrs[c.cid - 1].coefficient == COEFF_PLUS and _classify(d, c.cid) == "n-1"
-    ]
+    classes = [_classify(d, c.cid) for c in tr.components]
+    plus_sub = [cid for cid, cls in enumerate(classes, 1) if cls == "n-1"]
+    minus = [cid for cid, cls in enumerate(classes, 1) if cls == "n"]
+    for cid in minus:
+        if not tr.components[cid - 1].closed:
+            raise InvariantError(f"-1 component {cid} is open")
     tally = _tally(d, tr)
-    linking = {}
-    passes = {}
-    for (a, b), crossings in tally[1].items():
-        if a != b:
-            linking[(a, b)] = sum(sign for _i, sign in crossings) // 2
-            passes[(a, b)] = len(crossings) // 2
-    tb = {cid: _classical(tally, cid).tb for cid in minus}
-    return tr, minus, plus_sub, linking, passes, tb
+    pairs = tally[1]
+    order = plus_sub + minus
+
+    def entry(a, b):
+        if a == b:
+            return _classical(tally, a).tb - 1 if classes[a - 1] == "n" else 0
+        if classes[a - 1] == classes[b - 1] == "n-1":
+            return 0
+        return sum(sign for _i, sign in pairs.get((min(a, b), max(a, b)), ())) // 2
+
+    matrix = [[entry(a, b) for b in order] for a in order]
+    return plus_sub, minus, matrix, pairs
 
 
 def linking_matrix(d):
@@ -234,26 +229,16 @@ def linking_matrix(d):
     ``over_ones`` counts geometric passes of each -1 component over each
     subcritical +1 unknot (crossings with it / 2).
     """
-    tr, minus, plus_sub, linking, passes, tb = _surgery_data(d, "linking")
-    for cid in minus:
-        if not tr.components[cid - 1].closed:
-            raise InvariantError(f"-1 component {cid} is open")
-
-    size = len(minus)
-    matrix = [[0] * size for _ in range(size)]
-    for a in range(size):
-        matrix[a][a] = tb[minus[a]] - 1
-        for b in range(a + 1, size):
-            key = (min(minus[a], minus[b]), max(minus[a], minus[b]))
-            matrix[a][b] = matrix[b][a] = linking.get(key, 0)
+    plus_sub, minus, matrix, pairs = _surgery_data(d, "linking")
+    k = len(plus_sub)
     over = {
-        (mc, pc): passes.get((min(mc, pc), max(mc, pc)), 0)
+        (mc, pc): len(pairs.get((min(mc, pc), max(mc, pc)), ())) // 2
         for mc in minus
         for pc in plus_sub
     }
     return LinkingData(
         minus_ids=tuple(minus),
-        matrix=tuple(tuple(row) for row in matrix),
+        matrix=tuple(tuple(row[k:]) for row in matrix[k:]),
         over_ones=over,
     )
 
@@ -267,27 +252,7 @@ def homology_presentation(d):
     torsion and full rank; degenerate presentations report their free rank
     as trailing zeros.
     """
-    tr, minus, plus_sub, linking, _passes, tb = _surgery_data(d, "homology")
-    order = plus_sub + minus
-    index = {cid: k for k, cid in enumerate(order)}
-    size = len(order)
-    if size == 0:
-        return []
-
-    m = [[0] * size for _ in range(size)]
-    for cid in minus:
-        if not tr.components[cid - 1].closed:
-            raise InvariantError(f"component {cid} is open")
-        m[index[cid]][index[cid]] = tb[cid] - 1
-    for a in range(size):
-        for b in range(a + 1, size):
-            ca, cb_ = order[a], order[b]
-            if ca in plus_sub and cb_ in plus_sub:
-                continue
-            key = (min(ca, cb_), max(ca, cb_))
-            m[a][b] = m[b][a] = linking.get(key, 0)
-
-    diag = smith_normal_form(m)
+    diag = smith_normal_form(_surgery_data(d, "homology")[2])
     factors = [x for x in diag if x > 1]
     factors += [0] * sum(1 for x in diag if x == 0)
     return factors

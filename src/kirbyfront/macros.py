@@ -25,6 +25,7 @@ from __future__ import annotations
 from .diagram import COEFF_MINUS, COEFF_PLUS, Event, trace_components
 from .moves import (
     MoveError,
+    _attr,
     _junction,
     _require,
     _stab_template,
@@ -103,7 +104,7 @@ def destabilize_macro(d, c, site):
         "macro site does not match the zigzag template",
     )
     _require(
-        d.attrs and d.attrs[c - 1].coefficient == COEFF_MINUS,
+        _attr(d, c).coefficient == COEFF_MINUS,
         f"component {c} does not carry -1 surgery",
     )
     tr = trace_components(d)

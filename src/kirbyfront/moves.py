@@ -102,8 +102,10 @@ def _require(cond, message):
 def _attr(d, cid):
     """The decorations of component ``cid``; an id outside the diagram's
     components is a precondition failure."""
-    _require(1 <= cid <= len(d.attrs), f"no component {cid}")
-    return d.attrs[cid - 1]
+    # a decorated diagram has one attribute per component, and is not traced
+    _require(1 <= cid <= len(d.attrs or trace_components(d).components),
+             f"no component {cid}")
+    return d.attr(cid)
 
 
 def _strand_comp(tr, gap, slot):
@@ -332,7 +334,6 @@ def handleslide(d, moving, over, variant, site):
     if variant not in _SLIDE_VARIANTS:
         raise MoveError(f"unknown handleslide variant {variant!r}")
     want_coeff, side = _SLIDE_VARIANTS[variant]
-    _require(d.attrs, "handleslide needs decorated components")
     _require(
         _attr(d, over).coefficient == want_coeff,
         f"component {over} does not carry the"
@@ -375,7 +376,7 @@ def handleslide(d, moving, over, variant, site):
     res = _rebuild(d, events, runs, error, merge=_merge_union)
     _check_spin(res.diagram)
     # off the spin axis the mirrored junction can split what the site joined
-    _require(len(res.diagram.attrs) <= len(d.attrs),
+    _require(len(res.diagram.attrs) <= len(tr.components),
              f"the mirrored junction splits component {moving} (spin symmetry)")
     return res
 
@@ -496,7 +497,6 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
     handle above, TB2 below.  Both components and their events are erased
     and the rest of the diagram reconnects.
     """
-    _require(d.attrs, "cancel_trivial_bypass needs decorated components")
     an = _attr(d, n_handle)
     ap = _attr(d, np1_handle)
     _require(
@@ -575,7 +575,6 @@ def birth_cancel_pair(d, site, direction="birth"):
             "cancel needs site.components = (plus unknot, minus component)",
         )
         plus, minus = site.components
-        _require(d.attrs, "cancel needs decorated components")
         ap, am = _attr(d, plus), _attr(d, minus)
         _require(
             ap.coefficient == COEFF_PLUS and not (ap.node_plus or ap.node_minus),
@@ -609,7 +608,6 @@ def witness_subcritical(d, cid):
     Bookkeeping move: subcritical handles are represented this way from
     the start, so the rewrite itself is the identity.
     """
-    _require(d.attrs, "witness needs decorated components")
     a = _attr(d, cid)
     _require(
         a.coefficient == COEFF_PLUS and not (a.node_plus or a.node_minus),
@@ -666,11 +664,9 @@ def _r_templates(s):
 
 
 def _strands_have_nodes(d, tr, gap, slots):
-    if not d.attrs:
-        return False
     for s in slots:
         try:
-            a = d.attrs[tr.comp(gap, s) - 1]
+            a = d.attr(tr.comp(gap, s))
         except KeyError:  # no strand there
             continue
         if a.node_plus or a.node_minus:
@@ -784,7 +780,7 @@ def _invariant_fingerprint(d):
     if d.spin == 0:
         if all(c.closed for c in trace_components(d).components):
             per = sorted(
-                (inv.tb, inv.rot, d.attrs[cid - 1].coefficient if d.attrs else 0)
+                (inv.tb, inv.rot, d.attr(cid).coefficient)
                 for cid, inv in all_classical_invariants(d).items()
             )
             finger.append(tuple(per))

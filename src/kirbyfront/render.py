@@ -98,42 +98,41 @@ def render_svg(d):
             f' fill="white" stroke="none"/>'
         )
 
-    if d.attrs:
-        seen = set()
-        for comp in tr.components:
-            attr = d.attrs[comp.cid - 1]
-            text = attr.label or f"c{comp.cid}"
-            marks = []
-            if attr.coefficient == COEFF_PLUS:
-                marks.append("(+1)")
-            elif attr.coefficient == COEFF_MINUS:
-                marks.append("(-1)")
-            if attr.node_plus:
-                marks.append("⊕")
-            if attr.node_minus:
-                marks.append("⊖")
-            gap, slot, _dir = walks[comp.cid][0]
-            x, y = _xy(gap + 1, slot, height)
-            label = f"{text} {' '.join(marks)}".strip()
-            if (x, y) in seen:
-                y -= 12
-            seen.add((x, y))
+    seen = set()
+    for comp in tr.components:
+        attr = d.attr(comp.cid)
+        text = attr.label or f"c{comp.cid}"
+        marks = []
+        if attr.coefficient == COEFF_PLUS:
+            marks.append("(+1)")
+        elif attr.coefficient == COEFF_MINUS:
+            marks.append("(-1)")
+        if attr.node_plus:
+            marks.append("⊕")
+        if attr.node_minus:
+            marks.append("⊖")
+        gap, slot, _dir = walks[comp.cid][0]
+        x, y = _xy(gap + 1, slot, height)
+        label = f"{text} {' '.join(marks)}".strip()
+        if (x, y) in seen:
+            y -= 12
+        seen.add((x, y))
+        labels.append(
+            f'<text class="label c{comp.cid}" x="{x:.1f}" y="{y - 8:.1f}"'
+            f' font-size="12" font-family="monospace">{label}</text>'
+        )
+    for comp in tr.components:
+        attr = d.attr(comp.cid)
+        for target in attr.dashed_links:
+            g0, s0, _ = walks[comp.cid][0]
+            g1, s1, _ = walks[target][0]
+            x0, y0 = _xy(g0 + 1, s0, height)
+            x1, y1 = _xy(g1 + 1, s1, height)
             labels.append(
-                f'<text class="label c{comp.cid}" x="{x:.1f}" y="{y - 8:.1f}"'
-                f' font-size="12" font-family="monospace">{label}</text>'
+                f'<line class="dashed-link" x1="{x0:.1f}" y1="{y0:.1f}"'
+                f' x2="{x1:.1f}" y2="{y1:.1f}" stroke="#777"'
+                f' stroke-dasharray="3 3" stroke-width="1"/>'
             )
-        for comp in tr.components:
-            attr = d.attrs[comp.cid - 1]
-            for target in attr.dashed_links:
-                g0, s0, _ = walks[comp.cid][0]
-                g1, s1, _ = walks[target][0]
-                x0, y0 = _xy(g0 + 1, s0, height)
-                x1, y1 = _xy(g1 + 1, s1, height)
-                labels.append(
-                    f'<line class="dashed-link" x1="{x0:.1f}" y1="{y0:.1f}"'
-                    f' x2="{x1:.1f}" y2="{y1:.1f}" stroke="#777"'
-                    f' stroke-dasharray="3 3" stroke-width="1"/>'
-                )
 
     axis = ""
     if d.spin > 0:

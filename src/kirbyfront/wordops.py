@@ -355,8 +355,7 @@ def same_diagram(a, b):
     names and labels aside."""
     if (a.spin, a.left_count, a.events) != (b.spin, b.left_count, b.events):
         return False
-    if len(a.attrs) != len(b.attrs):
-        return False
     return all(
-        replace(x, label="") == replace(y, label="") for x, y in zip(a.attrs, b.attrs)
+        replace(a.attr(c.cid), label="") == replace(b.attr(c.cid), label="")
+        for c in trace_components(a).components
     )

@@ -289,6 +289,8 @@ def _oracle_homology_presentation(d):
 
     m = [[0] * size for _ in range(size)]
     for cid in minus:
+        if not tr.components[cid - 1].closed:
+            raise InvariantError(f"-1 component {cid} is open")
         inv = classical_invariants(d, cid)
         m[index[cid]][index[cid]] = inv.tb - 1
     for a in range(size):

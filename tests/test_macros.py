@@ -62,6 +62,12 @@ def test_destab_macro_rejects_unstabilized_site():
         destabilize_macro(d, 1, site_at(0, 1))
 
 
+@pytest.mark.parametrize("c", [0, 2, 5])
+def test_destab_macro_rejects_unknown_component(c):
+    with pytest.raises(MoveError, match=f"^no component {c}$"):
+        destabilize_macro(stabilized_unknot(), c, site_at(1, 1))
+
+
 def test_destab_macro_in_ambient_diagram():
     # stabilized -1 unknot next to a spectator unknot
     d = default_attrs(

@@ -508,6 +508,12 @@ def test_equivalence_detects_tb_difference():
     assert not equivalent_up_to_normalization(u, s)
 
 
+@pytest.mark.parametrize("spin", [0, 1, 2])
+def test_an_undecorated_unknot_is_its_bare_decoration(spin):
+    d = FrontDiagram(spin=spin, events=word(("L", 1), ("R", 1)))
+    assert equivalent_up_to_normalization(d, default_attrs(d))
+
+
 def test_exchange_involution():
     d = default_attrs(
         FrontDiagram(events=word(("L", 1), ("L", 3), ("R", 3), ("R", 1)))
