@@ -22,13 +22,12 @@ junction, normalize, and cancel the pair.
 
 from __future__ import annotations
 
-from .diagram import COEFF_MINUS, COEFF_PLUS, Event, trace_components
+from .diagram import COEFF_MINUS, COEFF_PLUS, trace_components
 from .moves import (
     MoveError,
     _attr,
-    _junction,
+    _blocks,
     _require,
-    _stab_template,
     birth_cancel_pair,
     site_at,
 )
@@ -67,7 +66,7 @@ def crossing_change_macro(d, site):
     _require(d.spin == 0, "the crossing change move needs spin 0 (dimension 5)")
     i, s = site.e0, site.s0
     _require(
-        i < len(d.events) and d.events[i] == Event("X", s),
+        d.events[i : i + 1] == _blocks(("crossing_change", 1), s)[0],
         "macro site does not address a crossing",
     )
     tr = trace_components(d)
@@ -84,7 +83,9 @@ def crossing_change_macro(d, site):
 def _find_junction(d):
     """The unique slide junction in the word."""
     ev = d.events
-    hits = [j for j in range(len(ev) - 2) if ev[j : j + 3] == _junction(ev[j].pos)]
+    hits = [
+        j for j in range(len(ev) - 2) if ev[j : j + 3] == _blocks(("uplus", 1), ev[j].pos)[1]
+    ]
     _require(len(hits) == 1, f"expected one slide junction, found {len(hits)}")
     return hits[0], ev[hits[0]].pos
 
@@ -100,7 +101,7 @@ def destabilize_macro(d, c, site):
     _require(d.spin == 0, "the scripted destabilization works at spin 0")
     i, s = site.e0, site.s0
     _require(
-        tuple(d.events[i : i + 4]) == _stab_template(s),
+        d.events[i : i + 4] == _blocks(("stabilize", 1), s)[1],
         "macro site does not match the zigzag template",
     )
     _require(

@@ -6,22 +6,34 @@ repeated at the mirrored site with the mirrored template, so the
 palindrome invariant cannot be violated; a site straddling the axis is
 applied once, and a partially overlapping mirror pair is an error.
 
-Word templates (all boundary-preserving, slots relative to the site):
+Local move templates (:data:`TEMPLATES`; all boundary-preserving, slots
+relative to the site's slot s).  A forward move trades the short block for
+the long one at the site, a reverse move the long block for the short one;
+an empty short block is an insertion point:
 
-====================  =====================================================
-clasp                 [] -> [X s, X s]            two crossings, one clasp
-stabilize             [] -> [L s+1, R s, L s, R s+1]    up + down zigzag
-uplus junction        [] -> [X s, R s, L s]       merge with one crossing
-crossing change       [X s] -> [L s+2, R s+1, L s, X s+1, R s+2]
-R1 (swallowtail)      [] <-> [L s, X s+1, R s]    and the vertical mirror
-R2 (through-cusp)     [L s+1] <-> [L s, X s+1, X s]    and three mirrors
-R3 (triple point)     [X s, X s+1, X s] <-> [X s+1, X s, X s+1]
-====================  =====================================================
+=================  =================  ======================================  ============
+template           short              long
+=================  =================  ======================================  ============
+clasp 1            []                 [X s, X s]                              clasp
+stabilize 1        []                 [L s+1, R s, L s, R s+1]                zigzags
+crossing_change 1  [X s]              [L s+2, R s+1, L s, X s+1, R s+2]       changed X
+birth 1            []                 [L s, L s+1, X s+2, X s+2, R s+1, R s]  handle pair
+uplus 1            []                 [X s, R s, L s]                         junction
+uplus 2            []                 [X s, R s, L s, X s]                    axis neck
+R1 1               []                 [L s, X s+1, R s]                       swallowtail
+R1 2               []                 [L s+1, X s, R s+1]                     mirrored
+R2 1               [L s+1]            [L s, X s+1, X s]                       through-cusp
+R2 2               [L s]              [L s+1, X s, X s+1]                     mirrored
+R2 3               [R s+1]            [X s, X s+1, R s]                       mirrored
+R2 4               [R s]              [X s+1, X s, R s+1]                     mirrored
+R3 1               [X s, X s+1, X s]  [X s+1, X s, X s+1]                     triple point
+=================  =================  ======================================  ============
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .diagram import (
     COEFF_MINUS,
@@ -53,6 +65,7 @@ __all__ = [
     "MoveSite",
     "MoveError",
     "MoveResult",
+    "TEMPLATES",
     "site_at",
     "clasp",
     "stabilize",
@@ -153,12 +166,60 @@ def _spin_splice(d, i0, i1, new_events, merge=None):
 
 
 # ---------------------------------------------------------------------------
-# clasp / unclasp
+# local move templates
 # ---------------------------------------------------------------------------
 
 
-def _clasp_template(s):
-    return (Event("X", s), Event("X", s))
+# (move, variant) -> (short block, long block), each event a (kind, slot
+# offset) pair read from the site's slot; the module docstring draws them
+TEMPLATES = {
+    ("clasp", 1): ((), (("X", 0), ("X", 0))),
+    ("stabilize", 1): ((), (("L", 1), ("R", 0), ("L", 0), ("R", 1))),
+    ("crossing_change", 1): (
+        (("X", 0),),
+        (("L", 2), ("R", 1), ("L", 0), ("X", 1), ("R", 2)),
+    ),
+    ("birth", 1): ((), (("L", 0), ("L", 1), ("X", 2), ("X", 2), ("R", 1), ("R", 0))),
+    ("uplus", 1): ((), (("X", 0), ("R", 0), ("L", 0))),
+    # the junction on the spin axis: palindromic, so its own mirror
+    ("uplus", 2): ((), (("X", 0), ("R", 0), ("L", 0), ("X", 0))),
+    ("R1", 1): ((), (("L", 0), ("X", 1), ("R", 0))),
+    ("R1", 2): ((), (("L", 1), ("X", 0), ("R", 1))),
+    ("R2", 1): ((("L", 1),), (("L", 0), ("X", 1), ("X", 0))),
+    ("R2", 2): ((("L", 0),), (("L", 1), ("X", 0), ("X", 1))),
+    ("R2", 3): ((("R", 1),), (("X", 0), ("X", 1), ("R", 0))),
+    ("R2", 4): ((("R", 0),), (("X", 1), ("X", 0), ("R", 1))),
+    ("R3", 1): ((("X", 0), ("X", 1), ("X", 0)), (("X", 1), ("X", 0), ("X", 1))),
+}
+
+
+@lru_cache(maxsize=1024)
+def _blocks(key, s):
+    """The (short, long) event blocks of template ``key`` at slot ``s``."""
+    return tuple(
+        tuple(Event(kind, s + off) for kind, off in block) for block in TEMPLATES[key]
+    )
+
+
+def _rewrite(d, key, site, forward, mismatch, guard=None, merge=None):
+    """Trade the short block of template ``key`` at ``site`` for its long
+    block, or the converse.  An empty source block is an insertion point
+    (``e0 == e1``); a non-empty one must match at ``e0``, else ``mismatch``
+    is refused.  ``guard`` then checks the move's own preconditions."""
+    src, dst = _blocks(key, site.s0)[:: 1 if forward else -1]
+    if src:
+        _require(d.events[site.e0 : site.e0 + len(src)] == src, mismatch)
+    else:
+        _require(site.e0 == site.e1, f"{key[0]} site is an insertion point")
+    if guard is not None:
+        guard()
+    return _spin_splice(d, site.e0, site.e0 + len(src), dst, merge=merge)
+
+
+def _junction_key(d, gap):
+    """The junction template at an insertion gap; a gap on the spin axis
+    takes the axis neck, so the rewrite is its own mirror."""
+    return ("uplus", 2 if d.spin > 0 and gap * 2 == len(d.events) else 1)
 
 
 def clasp(d, site, direction="clasp"):
@@ -169,29 +230,19 @@ def clasp(d, site, direction="clasp"):
     clasp and not a reducible bigon.  Crossing count changes by two,
     components, coefficients and cusp counts are untouched.
     """
-    s = site.s0
-    if direction == "clasp":
-        _require(site.e0 == site.e1, "clasp site is an insertion point")
-        counts = trace_components(d).counts
+    _require(direction in ("clasp", "unclasp"), f"unknown clasp direction {direction!r}")
+
+    def two_strands():
         _require(site.e0 <= len(d.events), "site beyond the word")
-        _require(counts[site.e0] >= s + 1, "clasp needs two adjacent strands")
-        return _spin_splice(d, site.e0, site.e0, _clasp_template(s))
-    if direction == "unclasp":
         _require(
-            tuple(d.events[site.e0 : site.e0 + 2]) == _clasp_template(s),
-            "unclasp site does not match the clasped template",
+            trace_components(d).counts[site.e0] >= site.s0 + 1,
+            "clasp needs two adjacent strands",
         )
-        return _spin_splice(d, site.e0, site.e0 + 2, ())
-    raise MoveError(f"unknown clasp direction {direction!r}")
 
-
-# ---------------------------------------------------------------------------
-# stabilize / destabilize
-# ---------------------------------------------------------------------------
-
-
-def _stab_template(s):
-    return (Event("L", s + 1), Event("R", s), Event("L", s), Event("R", s + 1))
+    forward = direction == "clasp"
+    guard = two_strands if forward else None
+    mismatch = "unclasp site does not match the clasped template"
+    return _rewrite(d, ("clasp", 1), site, forward, mismatch, guard)
 
 
 def stabilize(d, cid, site, direction="stabilize"):
@@ -201,27 +252,21 @@ def stabilize(d, cid, site, direction="stabilize"):
     unchanged.  For spin > 0 the template is inserted together with its
     mirror image, the spun wrinkle.
     """
-    s = site.s0
-    tr = trace_components(d)
-    if direction == "stabilize":
-        _require(site.e0 == site.e1, "stabilize site is an insertion point")
-        _require(
-            _strand_comp(tr, site.e0, s) == cid,
-            f"strand {s} at gap {site.e0} is not component {cid}",
-        )
-        return _spin_splice(d, site.e0, site.e0, _stab_template(s))
-    if direction == "destabilize":
-        w = d.events[site.e0 : site.e0 + 4]
-        _require(
-            tuple(w) == _stab_template(s),
-            "destabilize site does not match the zigzag template",
-        )
-        _require(
-            _strand_comp(tr, site.e0, s) == cid,
-            f"zigzag at the site does not belong to component {cid}",
-        )
-        return _spin_splice(d, site.e0, site.e0 + 4, ())
-    raise MoveError(f"unknown stabilize direction {direction!r}")
+    _require(
+        direction in ("stabilize", "destabilize"),
+        f"unknown stabilize direction {direction!r}",
+    )
+    forward = direction == "stabilize"
+    if forward:
+        wrong = f"strand {site.s0} at gap {site.e0} is not component {cid}"
+    else:
+        wrong = f"zigzag at the site does not belong to component {cid}"
+
+    def on_component():
+        _require(_strand_comp(trace_components(d), site.e0, site.s0) == cid, wrong)
+
+    mismatch = "destabilize site does not match the zigzag template"
+    return _rewrite(d, ("stabilize", 1), site, forward, mismatch, on_component)
 
 
 # ---------------------------------------------------------------------------
@@ -246,36 +291,11 @@ def _merge_union(cids, attrs):
     )
 
 
-def _junction(s):
-    return (Event("X", s), Event("R", s), Event("L", s))
-
-
-def _crossing_template(s):
-    return (
-        Event("L", s + 2),
-        Event("R", s + 1),
-        Event("L", s),
-        Event("X", s + 1),
-        Event("R", s + 2),
-    )
-
-
-def _axis_neck(s):
-    return _junction(s) + (Event("X", s),)
-
-
-def _junction_for(d, gap, s):
-    """Junction block at an insertion gap; a site on the spin axis takes the
-    palindromic neck [X, R, L, X] so the rewrite is its own mirror."""
-    if d.spin > 0 and gap * 2 == len(d.events):
-        return _axis_neck(s)
-    return _junction(s)
-
-
 def _slide_back_blocks(s):
     """The blocks a slide back removes: the junction, the axis neck, and the
     junction whose crossing an unclasp inside the slid region changed."""
-    return (_junction(s), _axis_neck(s), _crossing_template(s) + _junction(s)[1:])
+    junction, neck = (_blocks(("uplus", v), s)[1] for v in (1, 2))
+    return (junction, neck, _blocks(("crossing_change", 1), s)[1] + junction[1:])
 
 
 _SLIDE_BACK_WIDTHS = {len(b) for b in _slide_back_blocks(1)}
@@ -288,23 +308,23 @@ def uplus(d, a, b, site):
     the strands; decorations take the union, and a coefficient on both
     components is an error.
     """
-    s = site.s0
-    _require(site.e0 == site.e1, "uplus site is an insertion point")
-    _require(a != b, "uplus merges two distinct components")
-    tr = trace_components(d)
-    ca = _strand_comp(tr, site.e0, s)
-    cb = _strand_comp(tr, site.e0, s + 1)
-    _require(
-        ca == a and cb == b,
-        f"site strands belong to components {ca} below {cb}, not {a} below {b}",
-    )
+
+    def strands():
+        _require(a != b, "uplus merges two distinct components")
+        tr = trace_components(d)
+        ca = _strand_comp(tr, site.e0, site.s0)
+        cb = _strand_comp(tr, site.e0, site.s0 + 1)
+        _require(
+            ca == a and cb == b,
+            f"site strands belong to components {ca} below {cb}, not {a} below {b}",
+        )
 
     def merge(cids, attrs):
         idx = cids.index(a) if a in cids else 0
         merged = _merge_union(cids, attrs)
         return replace(merged, orientation=attrs[idx].orientation)
 
-    return _spin_splice(d, site.e0, site.e0, _junction_for(d, site.e0, s), merge=merge)
+    return _rewrite(d, _junction_key(d, site.e0), site, True, None, strands, merge)
 
 
 _SLIDE_VARIANTS = {
@@ -369,7 +389,7 @@ def handleslide(d, moving, over, variant, site):
     # the junction joins the site's moving strand to the companion next to it;
     # run g of the push-off maps gap g, every slot in order
     q = runs[site.e0][2][moving_slot - 1][1] - (side == "down")
-    windows = _spin_windows(pushed, gap, gap, _junction_for(pushed, gap, q))
+    windows = _spin_windows(pushed, gap, gap, _blocks(_junction_key(pushed, gap), q)[1])
     events, shifted = _splice_word(events, windows)
     runs = [(g, shifted[ng], slots) for g, ng, slots in runs]
     error = "rewrite produces an invalid word"
@@ -455,20 +475,14 @@ def crossing_change(d, site, mode="primitive"):
         return crossing_change_macro(d, site)
     _require(mode == "primitive", f"unknown crossing change mode {mode!r}")
     _require(d.spin == 0, "the crossing change move needs spin 0 (dimension 5)")
-    s = site.s0
-    if (
-        site.e0 < len(d.events)
-        and d.events[site.e0] == Event("X", s)
-        and site.e1 in (site.e0, site.e0 + 1)
-    ):
-        return _spin_splice(d, site.e0, site.e0 + 1, _crossing_template(s))
-    five = d.events[site.e0 : site.e0 + 5]
-    if tuple(five) == _crossing_template(s):
-        return _spin_splice(d, site.e0, site.e0 + 5, (Event("X", s),))
-    raise MoveError(
+    key = ("crossing_change", 1)
+    # a crossing at e0 is changed, else the changed crossing is restored
+    forward = d.events[site.e0 : site.e0 + 1] == _blocks(key, site.s0)[0]
+    mismatch = (
         "crossing change site matches neither a crossing nor the changed-crossing"
         " template"
     )
+    return _rewrite(d, key, site, forward, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +551,6 @@ def cancel_trivial_bypass(d, n_handle, np1_handle):
     return rw
 
 
-def _birth_template(s):
-    return (
-        Event("L", s),
-        Event("L", s + 1),
-        Event("X", s + 2),
-        Event("X", s + 2),
-        Event("R", s + 1),
-        Event("R", s),
-    )
-
-
 def birth_cancel_pair(d, site, direction="birth"):
     """Birth or cancel a smoothly cancelling handle pair.
 
@@ -557,9 +560,7 @@ def birth_cancel_pair(d, site, direction="birth"):
     no other component interleaved; both are erased.
     """
     if direction == "birth":
-        s = site.s0
-        _require(site.e0 == site.e1, "birth site is an insertion point")
-        res = _spin_splice(d, site.e0, site.e0, _birth_template(s))
+        res = _rewrite(d, ("birth", 1), site, True, None)
         fresh = sorted(res.fresh)
         _require(len(fresh) in (2, 4), "birth did not create the pair")
         attrs = list(res.diagram.attrs)
@@ -636,33 +637,6 @@ def exchange(d, site):
 # ---------------------------------------------------------------------------
 
 
-def _r_templates(s):
-    return {
-        ("R1", 1): ((), (Event("L", s), Event("X", s + 1), Event("R", s))),
-        ("R1", 2): ((), (Event("L", s + 1), Event("X", s), Event("R", s + 1))),
-        ("R2", 1): (
-            (Event("L", s + 1),),
-            (Event("L", s), Event("X", s + 1), Event("X", s)),
-        ),
-        ("R2", 2): (
-            (Event("L", s),),
-            (Event("L", s + 1), Event("X", s), Event("X", s + 1)),
-        ),
-        ("R2", 3): (
-            (Event("R", s + 1),),
-            (Event("X", s), Event("X", s + 1), Event("R", s)),
-        ),
-        ("R2", 4): (
-            (Event("R", s),),
-            (Event("X", s + 1), Event("X", s), Event("R", s + 1)),
-        ),
-        ("R3", 1): (
-            (Event("X", s), Event("X", s + 1), Event("X", s)),
-            (Event("X", s + 1), Event("X", s), Event("X", s + 1)),
-        ),
-    }
-
-
 def _strands_have_nodes(d, tr, gap, slots):
     for s in slots:
         try:
@@ -684,27 +658,24 @@ def reidemeister(d, move, site, variant=1, direction="forward"):
     calculus (logged restriction).
     """
     key = (move, variant)
-    templates = _r_templates(site.s0)
-    _require(key in templates, f"unknown Reidemeister move {move} variant {variant}")
-    short, long_ = templates[key]
-    if direction == "forward":
-        src, dst = short, long_
-    elif direction == "reverse":
-        src, dst = long_, short
-    else:
-        raise MoveError(f"unknown direction {direction!r}")
-    i0 = site.e0
-    i1 = i0 + len(src)
-    _require(tuple(d.events[i0:i1]) == src, f"{move} site does not match the template")
-    if move == "R3":
+    _require(
+        move in ("R1", "R2", "R3") and key in TEMPLATES,
+        f"unknown Reidemeister move {move} variant {variant}",
+    )
+    _require(direction in ("forward", "reverse"), f"unknown direction {direction!r}")
+
+    def no_nodes():
         _require(
             not _strands_have_nodes(
-                d, trace_components(d), i0, range(site.s0, site.s0 + 3)
+                d, trace_components(d), site.e0, range(site.s0, site.s0 + 3)
             ),
             "R3 across node-decorated strands is not supported (node transport"
             " under triple points is undefined)",
         )
-    return _spin_splice(d, i0, i1, dst)
+
+    forward = direction == "forward"
+    mismatch = f"{move} site does not match the template"
+    return _rewrite(d, key, site, forward, mismatch, no_nodes if move == "R3" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +694,9 @@ def _relative(a, b, c):
 # blocks.
 _REDUCTIONS = {
     _relative(*long_): (key, 1 - long_[0].pos)
-    for key, (_short, long_) in _r_templates(1).items()
-    if key[0] != "R3"
+    for key in TEMPLATES
+    if key[0] in ("R1", "R2")
+    for long_ in [_blocks(key, 1)[1]]
 }
 
 
@@ -738,7 +710,7 @@ def _reduction_at(events, i):
         return None
     # the window has an event at the template's slot s, so s >= 1
     key, offset = hit
-    return _r_templates(events[i].pos + offset)[key][0]
+    return _blocks(key, events[i].pos + offset)[0]
 
 
 def normalize(d):

@@ -30,14 +30,13 @@ from kirbyfront.families import trivial_bypass_pair
 from kirbyfront.moves import (
     _SLIDE_BACK_WIDTHS,
     _SLIDE_VARIANTS,
+    TEMPLATES,
     MoveError,
     _attr,
-    _axis_neck,
+    _blocks,
     _check_spin,
-    _junction,
-    _junction_for,
+    _junction_key,
     _merge_union,
-    _r_templates,
     _require,
     _slide_back,
     _strand_comp,
@@ -56,6 +55,12 @@ from kirbyfront.wordops import MoveResult, _rebuild, double_component, mirror_ev
 
 from conftest import random_diagram, segment_maps, segment_runs
 from test_tally import DIAGRAMS, _births, _decorate
+
+
+def _junction_for(d, gap, s):
+    """The junction block a forward slide inserts, read from the table."""
+    return _blocks(_junction_key(d, gap), s)[1]
+
 
 # ---------------------------------------------------------------------------
 # The sequential splice and the forward slide as they were, kept as oracles
@@ -234,7 +239,7 @@ def _spun_calls(d):
                 (clasp, d, site, "unclasp"),
                 (birth_cancel_pair, d, site, "birth"),
             ]
-            for move, variant in _r_templates(s):
+            for move, variant in [k for k in TEMPLATES if k[0] in ("R1", "R2", "R3")]:
                 for direction in ("forward", "reverse"):
                     calls.append((reidemeister, d, move, site, variant, direction))
             if s > count:
@@ -318,7 +323,7 @@ def _slide_cases(d):
                 gap, n = _pushed_gap(d, tr, over, g)
                 # the moving strand moves up by the strands of `over` below it
                 q = s + sum(tr.comp(g, t) == over for t in range(1, s + dm))
-                block = _axis_neck(q) if d.spin and 2 * gap == n else _junction(q)
+                block = _blocks(("uplus", 2 if d.spin and 2 * gap == n else 1), q)[1]
                 # right of the axis, the mirrored junction comes first
                 j = gap + len(block) if d.spin and 2 * gap > n else gap
                 out.append((moving, over, variant, site_at(g, s), block, j))
